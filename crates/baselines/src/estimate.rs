@@ -11,7 +11,7 @@
 //! error is injected anywhere.
 
 use powersim::cpu::CoreRole;
-use powersim::rack::{CoreId, Rack};
+use powersim::rack::Rack;
 use powersim::units::{NormFreq, Watts};
 
 /// Linear idle↔full interpolation estimator.
@@ -91,56 +91,192 @@ impl CalibratedRackEstimator {
     }
 
     /// Estimate rack power for a candidate frequency vector using the
-    /// rack's measured utilizations.
+    /// rack's measured utilizations: a full pass of a fresh
+    /// [`EstimatorProbe`].
     pub fn estimate(&self, rack: &Rack, freqs: &[NormFreq]) -> Watts {
-        assert_eq!(freqs.len(), rack.num_cores(), "one frequency per core");
-        let iv = rack.role(CoreRole::Interactive);
-        let bv = rack.role(CoreRole::Batch);
-        let cps = rack.cores_per_server();
-        let m = cps as f64;
-        let mut total = 0.0;
-        for s in 0..rack.num_servers() {
-            total += self.idle_per_server;
-            let mut tp = 0.0;
-            let base = s * cps;
-            let utils = iv.server_utils(s).iter().chain(bv.server_utils(s));
-            for (k, &util) in utils.enumerate() {
-                let f = freqs[base + k].0.clamp(0.0, 1.0);
-                let u = util.clamp(0.0, 1.0);
-                let shape = self.cubic_fraction * f.powi(3) + (1.0 - self.cubic_fraction) * f;
-                total += self.cpu_peak_per_core * shape * u;
-                tp += f * u;
-            }
-            // Linear (not concave) non-CPU model: the calibration error.
-            total += self.noncpu_span * (tp / m);
-        }
-        Watts(total)
+        EstimatorProbe::new(*self, rack, &mut ProbeCache::default()).reset(freqs)
     }
 }
 
 /// The oracle the *idealized* SGCT-V1/V2 variants are granted (§VI-B:
 /// "ideally manage the processor frequency ... though this is not
 /// feasible in practice without closed-loop control"): exact plant power
-/// for a candidate frequency vector.
+/// for a candidate frequency vector, with ideal actuation (continuous
+/// frequencies clamped to `[0, 1]`, no ladder snap). A full pass of a
+/// fresh [`PlantProbe`].
 pub fn oracle_power(rack: &Rack, freqs: &[NormFreq]) -> Watts {
-    let mut probe = rack.clone();
-    assert_eq!(freqs.len(), probe.num_cores(), "one frequency per core");
-    let cps = probe.cores_per_server();
-    for (idx, &f) in freqs.iter().enumerate() {
-        let id = CoreId {
-            server: idx / cps,
-            core: idx % cps,
-        };
-        // Ideal actuation: continuous frequencies, no ladder snap.
-        probe.set_freq_unquantized(id, f.clamp(NormFreq(0.0), NormFreq(1.0)));
+    PlantProbe::new(rack, &mut ProbeCache::default()).reset(freqs)
+}
+
+/// An incremental power model over a borrowed rack: prices candidate
+/// per-core frequency vectors (rack order, server-major — core `i` is
+/// `CoreId { server: i / cps, core: i % cps }`) under the rack's current
+/// utilizations.
+///
+/// The cooperative-threshold greedy changes one core between
+/// consecutive candidates, so after one [`PowerProbe::reset`] every
+/// candidate is priced by [`PowerProbe::set_core`], which re-prices only
+/// what that core can change. Both methods return exactly the bits a
+/// full recompute of `freqs` would.
+pub trait PowerProbe {
+    /// Price `freqs` from scratch and cache what later calls reuse.
+    fn reset(&mut self, freqs: &[NormFreq]) -> Watts;
+    /// Price `freqs`, which differs from the vector of the previous
+    /// call only at core `i`.
+    fn set_core(&mut self, freqs: &[NormFreq], i: usize) -> Watts;
+}
+
+/// The caller-owned buffers of a probe, kept across ticks so pricing
+/// allocates nothing once they have grown to the rack's size. A probe
+/// overwrites them on [`PowerProbe::reset`].
+#[derive(Debug, Clone, Default)]
+pub struct ProbeCache {
+    /// Per server: plant power ([`PlantProbe`]) or non-CPU term
+    /// ([`EstimatorProbe`]).
+    servers: Vec<f64>,
+    /// Per core: CPU term ([`EstimatorProbe`]).
+    cores: Vec<f64>,
+    /// Running sum before each server, then the total
+    /// ([`EstimatorProbe`]).
+    prefix: Vec<f64>,
+}
+
+/// [`oracle_power`] as a probe: caches each server's plant power and
+/// re-prices only the changed core's server. The total is folded over
+/// the cached servers in server order from `0.0` — the order of
+/// [`Rack::power`] — so every candidate is bit-identical to a full
+/// recompute.
+#[derive(Debug)]
+pub struct PlantProbe<'a> {
+    rack: &'a Rack,
+    cache: &'a mut ProbeCache,
+}
+
+impl<'a> PlantProbe<'a> {
+    pub fn new(rack: &'a Rack, cache: &'a mut ProbeCache) -> Self {
+        PlantProbe { rack, cache }
     }
-    probe.power()
+
+    fn server_power(&self, freqs: &[NormFreq], s: usize) -> f64 {
+        let cps = self.rack.cores_per_server();
+        let row = &freqs[s * cps..(s + 1) * cps];
+        self.rack
+            .server_power_with(s, row.iter().map(|f| f.0.clamp(0.0, 1.0)))
+    }
+
+    fn total(&self) -> Watts {
+        let mut total = 0.0;
+        for &p in &self.cache.servers {
+            total += p;
+        }
+        Watts(total)
+    }
+}
+
+impl PowerProbe for PlantProbe<'_> {
+    fn reset(&mut self, freqs: &[NormFreq]) -> Watts {
+        assert_eq!(freqs.len(), self.rack.num_cores(), "one frequency per core");
+        self.cache.servers.clear();
+        for s in 0..self.rack.num_servers() {
+            let p = self.server_power(freqs, s);
+            self.cache.servers.push(p);
+        }
+        self.total()
+    }
+
+    fn set_core(&mut self, freqs: &[NormFreq], i: usize) -> Watts {
+        let s = i / self.rack.cores_per_server();
+        self.cache.servers[s] = self.server_power(freqs, s);
+        self.total()
+    }
+}
+
+/// [`CalibratedRackEstimator::estimate`] as a probe. The estimate is one
+/// running sum over every server's idle power, its cores' CPU terms and
+/// its non-CPU term, in rack order. The probe caches those terms and the
+/// running sum at every server boundary; a changed core re-prices its
+/// server's terms and replays the sum from that server onward — the same
+/// additions in the same order as a full pass, hence the same bits.
+#[derive(Debug)]
+pub struct EstimatorProbe<'a> {
+    est: CalibratedRackEstimator,
+    rack: &'a Rack,
+    cache: &'a mut ProbeCache,
+}
+
+impl<'a> EstimatorProbe<'a> {
+    pub fn new(est: CalibratedRackEstimator, rack: &'a Rack, cache: &'a mut ProbeCache) -> Self {
+        EstimatorProbe { est, rack, cache }
+    }
+
+    /// Price server `s`'s CPU and non-CPU terms.
+    fn price_server(&mut self, freqs: &[NormFreq], s: usize) {
+        let e = &self.est;
+        let cps = self.rack.cores_per_server();
+        let utils = self
+            .rack
+            .role(CoreRole::Interactive)
+            .server_utils(s)
+            .iter()
+            .chain(self.rack.role(CoreRole::Batch).server_utils(s));
+        let row = freqs[s * cps..(s + 1) * cps].iter().zip(utils);
+        let mut tp = 0.0;
+        for (term, (f, &util)) in self.cache.cores[s * cps..(s + 1) * cps].iter_mut().zip(row) {
+            let f = f.0.clamp(0.0, 1.0);
+            let u = util.clamp(0.0, 1.0);
+            let shape = e.cubic_fraction * f.powi(3) + (1.0 - e.cubic_fraction) * f;
+            *term = e.cpu_peak_per_core * shape * u;
+            tp += f * u;
+        }
+        // Linear (not concave) non-CPU model: the calibration error.
+        self.cache.servers[s] = e.noncpu_span * (tp / cps as f64);
+    }
+
+    fn replay_from(&mut self, first: usize) -> Watts {
+        let cps = self.rack.cores_per_server();
+        let c = &mut *self.cache;
+        let mut total = c.prefix[first];
+        for s in first..self.rack.num_servers() {
+            total += self.est.idle_per_server;
+            for &term in &c.cores[s * cps..(s + 1) * cps] {
+                total += term;
+            }
+            total += c.servers[s];
+            c.prefix[s + 1] = total;
+        }
+        Watts(total)
+    }
+}
+
+impl PowerProbe for EstimatorProbe<'_> {
+    fn reset(&mut self, freqs: &[NormFreq]) -> Watts {
+        assert_eq!(freqs.len(), self.rack.num_cores(), "one frequency per core");
+        let servers = self.rack.num_servers();
+        let c = &mut *self.cache;
+        c.cores.clear();
+        c.cores.resize(self.rack.num_cores(), 0.0);
+        c.servers.clear();
+        c.servers.resize(servers, 0.0);
+        c.prefix.clear();
+        c.prefix.resize(servers + 1, 0.0);
+        for s in 0..servers {
+            self.price_server(freqs, s);
+        }
+        self.replay_from(0)
+    }
+
+    fn set_core(&mut self, freqs: &[NormFreq], i: usize) -> Watts {
+        let s = i / self.rack.cores_per_server();
+        self.price_server(freqs, s);
+        self.replay_from(s)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use powersim::cpu::CoreRole;
+    use powersim::rack::CoreId;
     use powersim::server::ServerSpec;
     use powersim::units::Utilization;
 

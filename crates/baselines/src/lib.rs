@@ -11,16 +11,23 @@
 //! * [`sgct::SgctVariant::V2InteractivePriority`] — V1 plus priority for
 //!   interactive cores.
 //!
-//! Modules: [`estimate`] (the open-loop model and the ideal oracle),
-//! [`game`] (cooperative-threshold assignment), [`sgct`] (the stateful
-//! policies).
+//! Modules: [`estimate`] (the open-loop model, the ideal oracle, and
+//! their incremental [`PowerProbe`]s), [`game`] (cooperative-threshold
+//! assignment), [`sgct`] (the stateful policies).
 
 #![forbid(unsafe_code)]
 
 pub mod estimate;
 pub mod game;
+#[cfg(test)]
+mod probe_props;
 pub mod sgct;
 
-pub use estimate::{oracle_power, CalibratedRackEstimator, LinearRackEstimator};
-pub use game::{cooperative_threshold, rank_cores, Assignment, SprintRanking};
+pub use estimate::{
+    oracle_power, CalibratedRackEstimator, EstimatorProbe, LinearRackEstimator, PlantProbe,
+    PowerProbe, ProbeCache,
+};
+pub use game::{
+    cooperative_threshold, rank_cores, rank_cores_into, Assignment, RankKey, SprintRanking,
+};
 pub use sgct::{SgctCommand, SgctConfig, SgctPolicy, SgctVariant};

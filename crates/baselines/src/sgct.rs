@@ -16,9 +16,11 @@
 //! recovery — the total sprint budget stays constant (the nearly-flat
 //! total power of Fig. 6(b)(c)).
 
-use crate::estimate::{oracle_power, CalibratedRackEstimator};
-use crate::game::{cooperative_threshold, rank_cores, SprintRanking};
-use powersim::rack::Rack;
+use crate::estimate::{
+    CalibratedRackEstimator, EstimatorProbe, PlantProbe, PowerProbe, ProbeCache,
+};
+use crate::game::{cooperative_threshold, rank_cores_into, RankKey, SprintRanking};
+use powersim::rack::{CoreId, Rack};
 use powersim::units::{NormFreq, Seconds, Watts};
 
 /// Which baseline to run.
@@ -102,6 +104,11 @@ pub struct SgctPolicy {
     pub cfg: SgctConfig,
     /// Time into the current overload/recovery cycle.
     phase_clock: Seconds,
+    /// Per-tick buffers, kept so a steady-state tick allocates only the
+    /// frequency vector it returns.
+    keyed: Vec<(RankKey, CoreId)>,
+    ranked: Vec<CoreId>,
+    probe_cache: ProbeCache,
 }
 
 impl SgctPolicy {
@@ -110,6 +117,9 @@ impl SgctPolicy {
         SgctPolicy {
             cfg,
             phase_clock: Seconds::ZERO,
+            keyed: Vec::new(),
+            ranked: Vec::new(),
+            probe_cache: ProbeCache::default(),
         }
     }
 
@@ -138,6 +148,34 @@ impl SgctPolicy {
         p_total_measured: Watts,
         p_overhead: Watts,
     ) -> SgctCommand {
+        let mut cache = std::mem::take(&mut self.probe_cache);
+        let cmd = match self.cfg.variant {
+            SgctVariant::Uncontrolled => {
+                let mut probe = EstimatorProbe::new(self.cfg.estimator, rack, &mut cache);
+                self.step_with_probe(dt, rack, p_total_measured, p_overhead, &mut probe)
+            }
+            SgctVariant::V1Ideal | SgctVariant::V2InteractivePriority => {
+                let mut probe = PlantProbe::new(rack, &mut cache);
+                self.step_with_probe(dt, rack, p_total_measured, p_overhead, &mut probe)
+            }
+        };
+        self.probe_cache = cache;
+        cmd
+    }
+
+    /// [`SgctPolicy::step`] with the sprint candidates priced by `probe`
+    /// instead of the variant's own power model — an
+    /// [`EstimatorProbe`] for uncontrolled SGCT, a [`PlantProbe`] for
+    /// the ideal variants. A caller that wraps the variant's probe
+    /// (e.g. to count its calls) gets exactly the decision `step` makes.
+    pub fn step_with_probe(
+        &mut self,
+        dt: Seconds,
+        rack: &Rack,
+        p_total_measured: Watts,
+        p_overhead: Watts,
+        probe: &mut dyn PowerProbe,
+    ) -> SgctCommand {
         let overloading = self.planned_overloading();
         self.phase_clock += dt;
 
@@ -145,32 +183,21 @@ impl SgctPolicy {
             SgctVariant::V2InteractivePriority => SprintRanking::InteractiveFirst,
             _ => SprintRanking::ByUtilization,
         };
-        let ranked = rank_cores(rack, ranking);
-        let budget = match self.cfg.variant {
-            SgctVariant::Uncontrolled => self.cfg.sprint_budget(),
-            SgctVariant::V1Ideal | SgctVariant::V2InteractivePriority => {
-                Watts((self.cfg.sprint_budget().0 * self.cfg.ideal_safety - p_overhead.0).max(0.0))
-            }
-        };
-        type PowerFn = Box<dyn Fn(&[NormFreq]) -> Watts>;
-        let (fractional, power_of): (bool, PowerFn) = match self.cfg.variant {
-            SgctVariant::Uncontrolled => {
-                let est = self.cfg.estimator;
-                let rk = rack.clone();
-                (false, Box::new(move |f: &[NormFreq]| est.estimate(&rk, f)))
-            }
-            SgctVariant::V1Ideal | SgctVariant::V2InteractivePriority => {
-                let rk = rack.clone();
-                (true, Box::new(move |f: &[NormFreq]| oracle_power(&rk, f)))
-            }
+        rank_cores_into(rack, ranking, &mut self.keyed, &mut self.ranked);
+        let (budget, fractional) = match self.cfg.variant {
+            SgctVariant::Uncontrolled => (self.cfg.sprint_budget(), false),
+            SgctVariant::V1Ideal | SgctVariant::V2InteractivePriority => (
+                Watts((self.cfg.sprint_budget().0 * self.cfg.ideal_safety - p_overhead.0).max(0.0)),
+                true,
+            ),
         };
         let assignment = cooperative_threshold(
             rack,
-            &ranked,
+            &self.ranked,
             self.cfg.f_nom,
             budget,
             fractional,
-            &*power_of,
+            probe,
         );
 
         // Power routing: overload phase → CB is the only sprint source;
@@ -208,6 +235,7 @@ impl SgctPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::estimate::oracle_power;
     use powersim::cpu::CoreRole;
     use powersim::server::ServerSpec;
     use powersim::units::Utilization;

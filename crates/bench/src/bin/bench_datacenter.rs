@@ -36,7 +36,9 @@
 //! seconds (default 60), `--mode full|streaming` scale-run retention
 //! (default streaming), `--max-rss-mb N` optional peak-RSS ceiling,
 //! `--out PATH` (default `BENCH_datacenter.json`), `--check` CI gate
-//! mode (exit 1 on any gate failure).
+//! mode (exit 1 on any gate failure), and the shared `--jobs N | --seq`
+//! of [`EngineArgs`] for the scale run's worker pool (default: one
+//! worker per core).
 
 use powersim::datacenter::{Datacenter, DatacenterTopology};
 use powersim::faults::FaultPlan;
@@ -45,6 +47,7 @@ use simkit::{
     run_datacenter, run_datacenter_with, run_digest, run_policy, DcRecordMode, DcRunOutput,
     DcScenario, ExecConfig, PolicyKind, Scenario,
 };
+use sprintcon_bench::EngineArgs;
 use std::time::Instant;
 
 /// CI floor for the vectorized-replay speedup over the pre-rework
@@ -63,9 +66,18 @@ struct Args {
     check_only: bool,
     mode: DcRecordMode,
     max_rss_mb: Option<f64>,
+    exec: ExecConfig,
 }
 
+const USAGE: &str = "usage: bench_datacenter [--racks N] [--secs N] [--mode full|streaming] \
+                     [--max-rss-mb N] [--out PATH] [--check] [--jobs N | --seq]";
+
 fn parse_args() -> Args {
+    let (engine, rest) = EngineArgs::split(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        eprintln!("{USAGE}");
+        std::process::exit(2);
+    });
     let mut args = Args {
         racks: 1000,
         secs: 60.0,
@@ -73,8 +85,9 @@ fn parse_args() -> Args {
         check_only: false,
         mode: DcRecordMode::Streaming,
         max_rss_mb: None,
+        exec: engine.exec,
     };
-    let mut it = std::env::args().skip(1);
+    let mut it = rest.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--check" => args.check_only = true,
@@ -101,10 +114,7 @@ fn parse_args() -> Args {
             "--out" => args.out = it.next().expect("--out needs a path"),
             other => {
                 eprintln!("unknown argument: {other}");
-                eprintln!(
-                    "usage: bench_datacenter [--racks N] [--secs N] [--mode full|streaming] \
-                     [--max-rss-mb N] [--out PATH] [--check]"
-                );
+                eprintln!("{USAGE}");
                 std::process::exit(2);
             }
         }
@@ -255,12 +265,13 @@ fn scale_run(
     racks: usize,
     secs: f64,
     mode: DcRecordMode,
+    exec: ExecConfig,
 ) -> Result<(f64, u64, DcRunOutput), String> {
     let base = base_scenario(2019, secs, false);
     let ticks = (base.duration.0 / base.dt.0).round() as u64;
     let dc = DcScenario::new(base, floor_topology(racks)).map_err(|e| e.to_string())?;
     let t0 = Instant::now();
-    let out = run_datacenter_with(&dc, ExecConfig::parallel(), mode).map_err(|e| e.to_string())?;
+    let out = run_datacenter_with(&dc, exec, mode).map_err(|e| e.to_string())?;
     Ok((t0.elapsed().as_secs_f64(), ticks, out))
 }
 
@@ -464,12 +475,13 @@ fn main() {
     println!("  ok: 1-rack tree reproduces the standalone engine digest");
 
     println!(
-        "scale run: {} racks x {}s on {cpus} worker(s), {} retention...",
+        "scale run: {} racks x {}s on {} worker(s), {} retention...",
         args.racks,
         args.secs,
+        args.exec.resolved_jobs(),
         mode_name(args.mode)
     );
-    let (wall, ticks_per_rack, out) = match scale_run(args.racks, args.secs, args.mode) {
+    let (wall, ticks_per_rack, out) = match scale_run(args.racks, args.secs, args.mode, args.exec) {
         Ok(v) => v,
         Err(e) => {
             eprintln!("SCALE RUN FAILED: {e}");

@@ -31,20 +31,31 @@
 //!    a claim if the two compute the same plant. Also measures the
 //!    whole-engine `server_ticks_per_sec` and compares against the
 //!    committed pre-rework full-loop baseline.
+//! 4. **SGCT hot path** — for each SGCT variant on the paper rack over
+//!    the full 15-minute §VI-A run: end-to-end wall-clock ns per engine
+//!    tick (an artifact only), and the deterministic work of its power
+//!    probes (calls and server re-pricings per tick), counted by a
+//!    wrapper probe in this bin. A transparency gate requires the
+//!    counted run to reproduce the plain run's digest.
 //!
 //! Flags: `--secs N` scenario length (default 120), `--out PATH`
 //! (default `BENCH_engine.json`), `--check` CI gate mode (small
 //! campaign, no wall-clock sweep; exit 1 on digest mismatch, on
 //! dense-vs-structured disagreement > 1e-6, on a structured path
 //! slower than the dense one, on substrate model disagreement, on a
-//! substrate speedup under the floor, or on a full loop slower than
-//! the committed pre-rework baseline).
+//! substrate speedup under the floor, on a full loop slower than
+//! the committed pre-rework baseline, or on a counted SGCT run that
+//! diverges from the plain one).
 
+use baselines::{EstimatorProbe, PlantProbe, PowerProbe, ProbeCache, SgctPolicy, SgctVariant};
 use powersim::cpu::CoreRole;
 use powersim::rack::Rack;
 use powersim::units::{NormFreq, Seconds, Utilization, Watts};
 use simkit::policy::tests_support::FixedPolicy;
-use simkit::{Campaign, ExecConfig, PolicyKind, Scenario};
+use simkit::{
+    run_digest, Campaign, ExecConfig, FreqCommand, MetricsSnapshot, ModeLabel, Policy,
+    PolicyCommand, PolicyKind, RunOutput, RunSummary, Scenario, SimView,
+};
 use sprint_control::linalg::Mat;
 use sprint_control::mpc::{MpcBackend, MpcConfig, MpcController};
 use sprint_control::qp::QpProblem;
@@ -749,6 +760,194 @@ fn bench_full_loop(budget_secs: f64, reps: usize) -> f64 {
     best
 }
 
+/// Probe work of one SGCT run.
+#[derive(Debug, Default, Clone, Copy)]
+struct ProbeWork {
+    /// `reset` + `set_core` calls.
+    calls: u64,
+    /// Servers whose contribution to the total was recomputed.
+    server_recomputes: u64,
+}
+
+/// Counts the work of the probe it wraps. A `reset` prices every
+/// server. A `set_core` re-prices the changed core's server, and the
+/// estimator probe also replays its running sum over every later
+/// server — the work each probe documents.
+struct CountingProbe<'w, P> {
+    inner: P,
+    servers: usize,
+    cores_per_server: usize,
+    replays_tail: bool,
+    work: &'w mut ProbeWork,
+}
+
+impl<P: PowerProbe> PowerProbe for CountingProbe<'_, P> {
+    fn reset(&mut self, freqs: &[NormFreq]) -> Watts {
+        self.work.calls += 1;
+        self.work.server_recomputes += self.servers as u64;
+        self.inner.reset(freqs)
+    }
+
+    fn set_core(&mut self, freqs: &[NormFreq], i: usize) -> Watts {
+        self.work.calls += 1;
+        self.work.server_recomputes += if self.replays_tail {
+            (self.servers - i / self.cores_per_server) as u64
+        } else {
+            1
+        };
+        self.inner.set_core(freqs, i)
+    }
+}
+
+/// An SGCT variant driving the rack with its probe wrapped in a
+/// [`CountingProbe`]; otherwise the engine adapter
+/// (`simkit::SgctSimPolicy`) line for line, which the transparency gate
+/// checks.
+struct CountingSgct {
+    policy: SgctPolicy,
+    name: &'static str,
+    cache: ProbeCache,
+    work: ProbeWork,
+    ticks: u64,
+}
+
+impl Policy for CountingSgct {
+    fn name(&self) -> &'static str {
+        self.name
+    }
+
+    fn control(&mut self, view: &SimView<'_>) -> PolicyCommand {
+        let rack = view.rack;
+        let (servers, cores_per_server) = (rack.num_servers(), rack.cores_per_server());
+        let (dt, p, fan) = (view.dt, view.p_total_measured, view.fan_power);
+        let cmd = match self.policy.cfg.variant {
+            SgctVariant::Uncontrolled => {
+                let mut probe = CountingProbe {
+                    inner: EstimatorProbe::new(self.policy.cfg.estimator, rack, &mut self.cache),
+                    servers,
+                    cores_per_server,
+                    replays_tail: true,
+                    work: &mut self.work,
+                };
+                self.policy.step_with_probe(dt, rack, p, fan, &mut probe)
+            }
+            SgctVariant::V1Ideal | SgctVariant::V2InteractivePriority => {
+                let mut probe = CountingProbe {
+                    inner: PlantProbe::new(rack, &mut self.cache),
+                    servers,
+                    cores_per_server,
+                    replays_tail: false,
+                    work: &mut self.work,
+                };
+                self.policy.step_with_probe(dt, rack, p, fan, &mut probe)
+            }
+        };
+        self.ticks += 1;
+        PolicyCommand {
+            freqs: FreqCommand::AllCores(cmd.freqs),
+            ups_target: cmd.ups_target,
+            p_cb_target: Some(if cmd.overloading {
+                self.policy.cfg.sprint_budget()
+            } else {
+                self.policy.cfg.rated
+            }),
+            p_batch_target: None,
+            mode_label: if cmd.overloading {
+                ModeLabel::Overload
+            } else {
+                ModeLabel::Recover
+            },
+        }
+    }
+}
+
+/// Length of the SGCT hot-path runs: the whole §VI-A run, fixed so the
+/// committed work counters do not depend on `--secs`.
+const SGCT_RUN_SECS: f64 = 900.0;
+
+struct SgctHotPath {
+    key: &'static str,
+    ns_per_tick: f64,
+    ticks: u64,
+    work: ProbeWork,
+    transparent: bool,
+}
+
+/// Run `policy` over `sc` and digest the recording and summary.
+fn run_and_digest(sc: &Scenario, policy: &mut dyn Policy) -> u64 {
+    let mut sim = sc.build();
+    let recorder = sim.run(policy, sc.duration);
+    let summary = RunSummary::from_run(policy.name(), &sim, &recorder);
+    run_digest(&RunOutput {
+        recorder,
+        summary,
+        metrics: MetricsSnapshot::default(),
+    })
+}
+
+/// Section 4: per-variant probe work from a counted run, its
+/// transparency against the plain engine adapter, and the plain run's
+/// best-of-`reps` wall-clock ns per engine tick.
+fn bench_sgct_hot_path(reps: usize) -> Vec<SgctHotPath> {
+    let mut sc = Scenario::paper_default(2019);
+    sc.duration = Seconds(SGCT_RUN_SECS);
+    let ticks = (sc.duration.0 / sc.dt.0).round();
+    [
+        ("sgct", PolicyKind::Sgct, SgctVariant::Uncontrolled),
+        ("sgct_v1", PolicyKind::SgctV1, SgctVariant::V1Ideal),
+        (
+            "sgct_v2",
+            PolicyKind::SgctV2,
+            SgctVariant::V2InteractivePriority,
+        ),
+    ]
+    .into_iter()
+    .map(|(key, kind, variant)| {
+        let mut counted = CountingSgct {
+            policy: SgctPolicy::new(baselines::SgctConfig::paper_default(variant)),
+            name: kind.name(),
+            cache: ProbeCache::default(),
+            work: ProbeWork::default(),
+            ticks: 0,
+        };
+        let counted_digest = run_and_digest(&sc, &mut counted);
+        let plain_digest = run_and_digest(&sc, kind.build().as_mut());
+        let mut best = f64::INFINITY;
+        for _ in 0..reps {
+            let mut sim = sc.build();
+            let mut policy = kind.build();
+            let t0 = Instant::now();
+            std::hint::black_box(sim.run(policy.as_mut(), sc.duration));
+            best = best.min(t0.elapsed().as_nanos() as f64 / ticks);
+        }
+        SgctHotPath {
+            key,
+            ns_per_tick: best,
+            ticks: counted.ticks,
+            work: counted.work,
+            transparent: counted_digest == plain_digest,
+        }
+    })
+    .collect()
+}
+
+fn print_sgct_hot_path(rows: &[SgctHotPath]) {
+    for r in rows {
+        println!(
+            "  {:<8}: {:.0} ns/tick, {:.1} probe calls/tick, {:.1} server recomputes/tick ({})",
+            r.key,
+            r.ns_per_tick,
+            r.work.calls as f64 / r.ticks as f64,
+            r.work.server_recomputes as f64 / r.ticks as f64,
+            if r.transparent {
+                "counted run bit-identical"
+            } else {
+                "COUNTED RUN DIVERGED"
+            }
+        );
+    }
+}
+
 fn main() {
     let args = parse_args();
     let cpus = std::thread::available_parallelism()
@@ -847,6 +1046,14 @@ fn main() {
             "full-loop check passed: {full_loop:.0} server_ticks/sec ({:.1}x the pre-rework baseline)",
             full_loop / PREWORK_FULL_LOOP_SERVER_TICKS_PER_SEC
         );
+        // CI gate 6: the counting probe wrapper changes no decision.
+        let sgct = bench_sgct_hot_path(1);
+        print_sgct_hot_path(&sgct);
+        if sgct.iter().any(|r| !r.transparent) {
+            eprintln!("SGCT COUNTING DIVERGENCE: a counted run left the plain run's digest");
+            std::process::exit(1);
+        }
+        println!("sgct hot-path check passed: counted runs bit-identical to plain runs");
         return;
     }
 
@@ -933,6 +1140,27 @@ fn main() {
         full_loop / PREWORK_FULL_LOOP_SERVER_TICKS_PER_SEC
     );
 
+    println!("SGCT hot path, paper rack, {SGCT_RUN_SECS} s runs...");
+    let sgct = bench_sgct_hot_path(3);
+    print_sgct_hot_path(&sgct);
+    let sgct_transparent = sgct.iter().all(|r| r.transparent);
+    let sgct_json: Vec<String> = sgct
+        .iter()
+        .map(|r| {
+            format!(
+                "\"{}\": {{\"ns_per_tick\": {:.0}, \"ticks\": {}, \"probe_calls\": {}, \"server_recomputes\": {}, \"probe_calls_per_tick\": {:.3}, \"server_recomputes_per_tick\": {:.3}, \"transparent\": {}}}",
+                r.key,
+                r.ns_per_tick,
+                r.ticks,
+                r.work.calls,
+                r.work.server_recomputes,
+                r.work.calls as f64 / r.ticks as f64,
+                r.work.server_recomputes as f64 / r.ticks as f64,
+                r.transparent
+            )
+        })
+        .collect();
+
     let jobs_json: Vec<String> = rows
         .iter()
         .map(|(j, ms)| {
@@ -943,7 +1171,7 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"host\": {{\"cpus\": {cpus}}},\n  \"campaign\": {{\"runs\": {}, \"scenario_secs\": {}}},\n  \"wall_clock\": {{\"seq_ms\": {seq_ms:.1}, \"speedup_meaningful\": {speedup_meaningful}, \"parallel\": [\n    {}\n  ]}},\n  \"determinism\": {{\"checked\": true, \"bit_identical\": {all_match}}},\n  \"mpc_hot_path\": {{\"channels\": 64, \"periods\": 200, \"alloc_ns_per_period\": {:.0}, \"dense_ns_per_period\": {:.0}, \"structured_ns_per_period\": {:.0}, \"speedup_structured_vs_dense\": {:.1}, \"agreement\": {{\"max_solution_dev\": {:.3e}, \"max_kkt_residual\": {:.3e}, \"pass\": {agreement_ok}}}, \"oracle_kernel\": {{\"dim\": {}, \"naive_matvec_ns\": {:.0}, \"unrolled_matvec_ns\": {:.0}, \"speedup\": {:.2}, \"max_rel_dev\": {:.3e}}}}},\n  \"server_ticks\": {{\"full_loop_per_sec\": {full_loop:.0}, \"prework_full_loop_per_sec\": {PREWORK_FULL_LOOP_SERVER_TICKS_PER_SEC:.0}, \"full_loop_speedup\": {:.2}, \"substrate\": {{\"prework_ns_per_tick\": {:.0}, \"soa_ns_per_tick\": {:.0}, \"speedup\": {:.2}, \"model_bit_identical\": {}}}}}\n}}\n",
+        "{{\n  \"host\": {{\"cpus\": {cpus}}},\n  \"campaign\": {{\"runs\": {}, \"scenario_secs\": {}}},\n  \"wall_clock\": {{\"seq_ms\": {seq_ms:.1}, \"speedup_meaningful\": {speedup_meaningful}, \"parallel\": [\n    {}\n  ]}},\n  \"determinism\": {{\"checked\": true, \"bit_identical\": {all_match}}},\n  \"mpc_hot_path\": {{\"channels\": 64, \"periods\": 200, \"alloc_ns_per_period\": {:.0}, \"dense_ns_per_period\": {:.0}, \"structured_ns_per_period\": {:.0}, \"speedup_structured_vs_dense\": {:.1}, \"agreement\": {{\"max_solution_dev\": {:.3e}, \"max_kkt_residual\": {:.3e}, \"pass\": {agreement_ok}}}, \"oracle_kernel\": {{\"dim\": {}, \"naive_matvec_ns\": {:.0}, \"unrolled_matvec_ns\": {:.0}, \"speedup\": {:.2}, \"max_rel_dev\": {:.3e}}}}},\n  \"server_ticks\": {{\"full_loop_per_sec\": {full_loop:.0}, \"prework_full_loop_per_sec\": {PREWORK_FULL_LOOP_SERVER_TICKS_PER_SEC:.0}, \"full_loop_speedup\": {:.2}, \"substrate\": {{\"prework_ns_per_tick\": {:.0}, \"soa_ns_per_tick\": {:.0}, \"speedup\": {:.2}, \"model_bit_identical\": {}}}}},\n  \"sgct_hot_path\": {{\"scenario_secs\": {SGCT_RUN_SECS}, {}}}\n}}\n",
         c.len(),
         args.secs,
         jobs_json.join(",\n    "),
@@ -963,6 +1191,7 @@ fn main() {
         sub.soa_ns_per_tick,
         sub.speedup,
         sub.model_bit_identical,
+        sgct_json.join(", "),
     );
     std::fs::write(&args.out, &json).expect("write BENCH_engine.json");
     println!("wrote {}", args.out);
@@ -977,6 +1206,10 @@ fn main() {
     }
     if !sub.model_bit_identical {
         eprintln!("substrate model agreement FAILED");
+        std::process::exit(1);
+    }
+    if !sgct_transparent {
+        eprintln!("SGCT counted-run transparency FAILED");
         std::process::exit(1);
     }
 }

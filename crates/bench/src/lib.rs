@@ -47,7 +47,21 @@ impl EngineArgs {
     where
         I: IntoIterator<Item = String>,
     {
+        let (engine, rest) = Self::split(args)?;
+        match rest.first() {
+            Some(other) => Err(format!("unknown argument: {other}")),
+            None => Ok(engine),
+        }
+    }
+
+    /// Take the shared flags out of `args` and return them with every
+    /// other argument, in order — for bins that add flags of their own.
+    pub fn split<I>(args: I) -> Result<(Self, Vec<String>), String>
+    where
+        I: IntoIterator<Item = String>,
+    {
         let mut exec = ExecConfig::parallel();
+        let mut rest = Vec::new();
         let mut it = args.into_iter();
         while let Some(arg) = it.next() {
             match arg.as_str() {
@@ -56,16 +70,13 @@ impl EngineArgs {
                     let v = it.next().ok_or("--jobs needs a value")?;
                     exec = ExecConfig::jobs(parse_jobs(&v)?);
                 }
-                other => {
-                    if let Some(v) = other.strip_prefix("--jobs=") {
-                        exec = ExecConfig::jobs(parse_jobs(v)?);
-                    } else {
-                        return Err(format!("unknown argument: {other}"));
-                    }
-                }
+                other => match other.strip_prefix("--jobs=") {
+                    Some(v) => exec = ExecConfig::jobs(parse_jobs(v)?),
+                    None => rest.push(arg),
+                },
             }
         }
-        Ok(EngineArgs { exec })
+        Ok((EngineArgs { exec }, rest))
     }
 }
 
@@ -127,5 +138,13 @@ mod tests {
         assert!(args(&["--jobs", "x"]).is_err());
         assert!(args(&["--jobs=-1"]).is_err());
         assert!(args(&["--frobnicate"]).is_err());
+    }
+
+    #[test]
+    fn engine_args_split_leaves_other_flags_in_order() {
+        let list = ["--racks", "10", "--jobs", "2", "--check"];
+        let (engine, rest) = EngineArgs::split(list.iter().map(|s| s.to_string())).unwrap();
+        assert_eq!(engine.exec, ExecConfig::jobs(2));
+        assert_eq!(rest, ["--racks", "10", "--check"]);
     }
 }

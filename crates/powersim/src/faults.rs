@@ -69,6 +69,22 @@ impl FaultKind {
             FaultKind::ServerCrash { .. } => "server_crash",
         }
     }
+
+    /// Name of the telemetry counter of ticks this class is active:
+    /// `fault_active.` followed by [`FaultKind::label`].
+    pub fn counter_name(&self) -> &'static str {
+        match self {
+            FaultKind::MonitorDropout => "fault_active.monitor_dropout",
+            FaultKind::MonitorStuckAt => "fault_active.monitor_stuck_at",
+            FaultKind::MonitorSpike { .. } => "fault_active.monitor_spike",
+            FaultKind::ActuatorLag { .. } => "fault_active.actuator_lag",
+            FaultKind::ActuatorQuantize { .. } => "fault_active.actuator_quantize",
+            FaultKind::UpsCapacityFade { .. } => "fault_active.ups_capacity_fade",
+            FaultKind::UpsCurrentLimit { .. } => "fault_active.ups_current_limit",
+            FaultKind::BreakerHeatPerturb { .. } => "fault_active.breaker_heat_perturb",
+            FaultKind::ServerCrash { .. } => "fault_active.server_crash",
+        }
+    }
 }
 
 /// A scheduled fault: `kind` is active on `start <= t < start + duration`.
@@ -202,37 +218,30 @@ impl ActiveFaults {
         self.actuator_lag.is_some() || self.actuator_quantize.is_some()
     }
 
-    /// Telemetry labels of every fault class active this tick.
-    pub fn labels(&self) -> Vec<&'static str> {
-        let mut out = Vec::new();
-        if self.monitor_dropout {
-            out.push("monitor_dropout");
-        }
-        if self.monitor_stuck_at.is_some() {
-            out.push("monitor_stuck_at");
-        }
-        if self.monitor_spike.is_some() {
-            out.push("monitor_spike");
-        }
-        if self.actuator_lag.is_some() {
-            out.push("actuator_lag");
-        }
-        if self.actuator_quantize.is_some() {
-            out.push("actuator_quantize");
-        }
-        if self.ups_capacity_fade.is_some() {
-            out.push("ups_capacity_fade");
-        }
-        if self.ups_current_limit.is_some() {
-            out.push("ups_current_limit");
-        }
-        if self.breaker_heat_delta.is_some() {
-            out.push("breaker_heat_perturb");
-        }
-        if !self.crashed_servers.is_empty() {
-            out.push("server_crash");
-        }
-        out
+    /// Every fault class active this tick, as a [`FaultKind`] carrying
+    /// its merged value (crashes name the first crashed server).
+    /// Allocation-free, for the engine's per-tick telemetry.
+    pub fn kinds(&self) -> impl Iterator<Item = FaultKind> {
+        [
+            self.monitor_dropout.then_some(FaultKind::MonitorDropout),
+            self.monitor_stuck_at.map(|_| FaultKind::MonitorStuckAt),
+            self.monitor_spike
+                .map(|magnitude| FaultKind::MonitorSpike { magnitude }),
+            self.actuator_lag.map(|tau| FaultKind::ActuatorLag { tau }),
+            self.actuator_quantize
+                .map(|step| FaultKind::ActuatorQuantize { step }),
+            self.ups_capacity_fade
+                .map(|fraction| FaultKind::UpsCapacityFade { fraction }),
+            self.ups_current_limit
+                .map(|max_discharge| FaultKind::UpsCurrentLimit { max_discharge }),
+            self.breaker_heat_delta
+                .map(|delta| FaultKind::BreakerHeatPerturb { delta }),
+            self.crashed_servers
+                .first()
+                .map(|&server| FaultKind::ServerCrash { server }),
+        ]
+        .into_iter()
+        .flatten()
     }
 
     fn merge(&mut self, kind: FaultKind, onset: bool, last_measured: Watts) {
@@ -404,6 +413,43 @@ impl FaultInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn counter_names_prefix_the_labels_and_kinds_cover_every_class() {
+        let all = ActiveFaults {
+            monitor_dropout: true,
+            monitor_stuck_at: Some(Watts(1.0)),
+            monitor_spike: Some(Watts(2.0)),
+            actuator_lag: Some(Seconds(3.0)),
+            actuator_quantize: Some(0.25),
+            ups_current_limit: Some(Watts(4.0)),
+            ups_capacity_fade: Some(0.5),
+            breaker_heat_delta: Some(0.1),
+            crashed_servers: vec![3, 5],
+        };
+        let labels: Vec<&str> = all.kinds().map(|k| k.label()).collect();
+        assert_eq!(
+            labels,
+            [
+                "monitor_dropout",
+                "monitor_stuck_at",
+                "monitor_spike",
+                "actuator_lag",
+                "actuator_quantize",
+                "ups_capacity_fade",
+                "ups_current_limit",
+                "breaker_heat_perturb",
+                "server_crash",
+            ]
+        );
+        for kind in all.kinds() {
+            assert_eq!(
+                kind.counter_name(),
+                format!("fault_active.{}", kind.label())
+            );
+        }
+        assert_eq!(ActiveFaults::default().kinds().count(), 0);
+    }
 
     #[test]
     fn empty_plan_is_inert() {

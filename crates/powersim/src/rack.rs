@@ -746,38 +746,55 @@ impl Rack {
         let bpc = self.batch_cores_per_server();
         let ni = self.num_servers * ipc;
         let (fi, fb) = self.state.freq.split_at(ni);
-        let (ui, ub) = self.state.util.split_at(ni);
-        // Hoisted law constants: every per-lane expression below performs
-        // the identical operations, in the identical order, as
-        // `CorePowerLaw::active_power` — the bit-identity contract behind
-        // the committed golden digests.
-        let law = self.spec.core_law;
-        let lin = 1.0 - law.cubic_fraction;
-        let cores = self.spec.num_cores as f64;
         let mut total = 0.0;
         for s in 0..self.num_servers {
             if powered.is_some_and(|p| !p[s]) {
                 record(s, 0.0);
                 continue;
             }
-            let (rfi, rui) = (&fi[s * ipc..(s + 1) * ipc], &ui[s * ipc..(s + 1) * ipc]);
-            let (rfb, rub) = (&fb[s * bpc..(s + 1) * bpc], &ub[s * bpc..(s + 1) * bpc]);
-            let mut active = 0.0;
-            let mut tp = 0.0;
-            for (rf, ru) in [(rfi, rui), (rfb, rub)] {
-                for (&f, &u) in rf.iter().zip(ru) {
-                    let fh = f.clamp(0.0, 1.0);
-                    let shape = law.cubic_fraction * fh.powi(3) + lin * fh;
-                    active += law.peak_active_watts * shape * u.clamp(0.0, 1.0);
-                    tp += f * u;
-                }
-            }
-            let mean_tp = tp / cores;
-            let p = self.spec.idle_watts + active + self.spec.noncpu_power(mean_tp);
+            let freqs = fi[s * ipc..(s + 1) * ipc]
+                .iter()
+                .chain(&fb[s * bpc..(s + 1) * bpc]);
+            let p = self.server_power_with(s, freqs.copied());
             record(s, p);
             total += p;
         }
         total
+    }
+
+    /// Plant power server `s` would draw with its cores at `freqs`
+    /// under the rack's current utilizations, before fan/noise.
+    ///
+    /// `freqs` yields one frequency per core of the server in
+    /// [`CoreId::core`] order (interactive cores first). This is the
+    /// per-server term of [`Rack::power`]: folding these terms in server
+    /// order from `0.0` reproduces [`Rack::power`] bit for bit, which is
+    /// what lets an incremental probe re-price one server at a time.
+    #[inline]
+    pub fn server_power_with(&self, s: usize, freqs: impl IntoIterator<Item = f64>) -> f64 {
+        let ipc = self.interactive_per_server;
+        let bpc = self.batch_cores_per_server();
+        let ni = self.num_servers * ipc;
+        let (ui, ub) = self.state.util.split_at(ni);
+        let utils = ui[s * ipc..(s + 1) * ipc]
+            .iter()
+            .chain(&ub[s * bpc..(s + 1) * bpc]);
+        // Hoisted law constants: every per-lane expression below performs
+        // the identical operations, in the identical order, as
+        // `CorePowerLaw::active_power` — the bit-identity contract behind
+        // the committed golden digests.
+        let law = self.spec.core_law;
+        let lin = 1.0 - law.cubic_fraction;
+        let mut active = 0.0;
+        let mut tp = 0.0;
+        for (f, &u) in freqs.into_iter().zip(utils) {
+            let fh = f.clamp(0.0, 1.0);
+            let shape = law.cubic_fraction * fh.powi(3) + lin * fh;
+            active += law.peak_active_watts * shape * u.clamp(0.0, 1.0);
+            tp += f * u;
+        }
+        let mean_tp = tp / self.spec.num_cores as f64;
+        self.spec.idle_watts + active + self.spec.noncpu_power(mean_tp)
     }
 
     /// Scalar per-core reference power — the executable spec of the

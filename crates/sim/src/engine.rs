@@ -475,8 +475,8 @@ impl RackSim {
         // plan) and apply the plant-side ones.
         let af = self.faults.advance(self.now, dt, self.last_measured);
         if af.any() && telemetry::enabled() {
-            for label in af.labels() {
-                telemetry::counter_add(&format!("fault_active.{label}"), 1);
+            for kind in af.kinds() {
+                telemetry::counter_add(kind.counter_name(), 1);
             }
         }
         self.apply_plant_faults(&af);

@@ -33,6 +33,12 @@ WHITELIST = {
         "mpc_hot_path.agreement.pass",
         "mpc_hot_path.oracle_kernel.dim",
         "server_ticks.substrate.model_bit_identical",
+        "sgct_hot_path.scenario_secs",
+        *(
+            f"sgct_hot_path.{variant}.{field}"
+            for variant in ("sgct", "sgct_v1", "sgct_v2")
+            for field in ("ticks", "probe_calls", "server_recomputes", "transparent")
+        ),
     ],
     "BENCH_datacenter.json": [
         "racks",

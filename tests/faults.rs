@@ -189,3 +189,48 @@ fn ten_percent_dropout_sprintcon_never_trips_uncontrolled_does() {
         "uncontrolled sprinting should trip the breaker"
     );
 }
+
+/// The per-class `fault_active.*` counters keep their names and counts.
+/// A monitor-dropout run with one overlapping actuator-lag window reports
+/// the values pinned here, which the per-tick `format!` of the names
+/// produced too. Every dropout tick also reads NaN, so the dropout count
+/// equals the number of NaN readings.
+#[test]
+fn fault_counters_keep_their_names_and_counts() {
+    let plan = FaultPlan::monitor_dropout(0.10, Seconds(8.0)).with_event(
+        Seconds(60.0),
+        Seconds(30.0),
+        FaultKind::ActuatorLag { tau: Seconds(4.0) },
+    );
+    let scenario = Scenario::builder(5)
+        .duration(Seconds::minutes(6.0))
+        .deadline(Seconds::minutes(5.0))
+        .faults(plan)
+        .build()
+        .expect("valid scenario");
+    let out = run_policy(&scenario, PolicyKind::SprintCon);
+    let counters: Vec<(&str, u64)> = out
+        .metrics
+        .counters
+        .iter()
+        .filter(|(name, _)| name.starts_with("fault_active."))
+        .map(|(name, n)| (name.as_str(), *n))
+        .collect();
+    assert_eq!(
+        counters,
+        [
+            ("fault_active.actuator_lag", 30),
+            ("fault_active.monitor_dropout", 27)
+        ]
+    );
+    let nan_readings = out
+        .recorder
+        .samples()
+        .iter()
+        .filter(|s| s.p_measured.0.is_nan())
+        .count() as u64;
+    assert_eq!(
+        out.metrics.counter("fault_active.monitor_dropout"),
+        nan_readings
+    );
+}
