@@ -30,7 +30,9 @@
 //!    shared state — cross-rack information flows *only* through the
 //!    market round at the boundary — sharded over a **persistent worker
 //!    pool** built once per run (scoped threads parked on a barrier
-//!    between epochs, each owning a fixed contiguous slice of racks).
+//!    between epochs, each owning a fixed contiguous slice of racks —
+//!    the same chunking as [`crate::exec::sweep_parallel`], whose
+//!    one-shot map does not fit a pool that lives across epochs).
 //!    Every shard installs its own collector for the duration of its
 //!    step, so metrics cannot bleed between racks even on long-lived
 //!    workers;
@@ -58,17 +60,17 @@
 //! [`DcRecordMode`] picks the recording retention. `Full` keeps every
 //! rack's whole-run [`Sample`](crate::recorder::Sample) trajectory —
 //! O(racks × ticks) resident, full post-hoc analysis. `Streaming` keeps
-//! only one epoch of contiguous `cb_power` lane per rack plus folded
-//! aggregates and a running digest — O(racks) resident — and produces
-//! **bit-identical** per-rack and floor digests (the digest byte stream
-//! is folded sample-by-sample in push order either way). The replay
-//! consumes each epoch lane and clears it; `samples()` stays empty.
+//! folded aggregates and a running digest only — O(racks) resident.
+//! Every recorder runs the same fold either way, so per-rack and floor
+//! digests are **bit-identical** between the modes. The tree replay
+//! reads neither: each shard keeps one epoch of `cb_power` lane of its
+//! own, filled after every step and cleared by the replay.
 //!
 //! Market rounds are telemetry-free by construction (the run digest
 //! includes telemetry counters, so a bid must not perturb a rack's
 //! digest).
 
-use crate::exec::{digest_run_tail, run_digest, DigestBuilder, ExecConfig};
+use crate::exec::{chunk_bounds, run_digest, DigestBuilder, ExecConfig};
 use crate::experiment::RunOutput;
 use crate::metrics::RunSummary;
 use crate::policy::SprintConPolicy;
@@ -122,10 +124,9 @@ pub enum DcRecordMode {
     /// behavior and the default.
     #[default]
     Full,
-    /// Every rack keeps one epoch of `cb_power` lane plus folded
-    /// aggregates and a running digest: O(racks) resident, bit-identical
-    /// digests and summaries, empty `samples()`. The mode that makes a
-    /// 10k-rack floor routine.
+    /// Every rack keeps folded aggregates and a running digest only:
+    /// O(racks) resident, bit-identical digests and summaries, empty
+    /// `samples()`. The mode that makes a 10k-rack floor routine.
     Streaming,
 }
 
@@ -242,6 +243,9 @@ struct RackShard {
     policy: SprintConPolicy,
     rec: Recorder,
     collector: Arc<Collector>,
+    /// Breaker power of every step of the current epoch, in order; the
+    /// tree replay consumes and clears it.
+    lane: Vec<f64>,
 }
 
 /// Epoch hand-off between the driving thread and the persistent worker
@@ -347,6 +351,7 @@ impl DatacenterSim {
                 policy,
                 rec,
                 collector,
+                lane: Vec::new(),
             });
         }
 
@@ -487,19 +492,25 @@ impl DatacenterSim {
         }
     }
 
-    /// Advance one shard `ticks` control periods under its collector.
+    /// Advance one shard `ticks` control periods under its collector,
+    /// appending each period's breaker power to the shard's lane.
     ///
     /// The collector is (re-)installed around every epoch step — pool
     /// workers are long-lived and own several racks, so per-rack
     /// telemetry isolation comes from the install, not thread identity.
     fn step_shard(shard: &mut RackShard, ticks: usize) {
         let collector = Arc::clone(&shard.collector);
-        let sim = &mut shard.sim;
-        let policy = &mut shard.policy;
-        let rec = &mut shard.rec;
+        let RackShard {
+            sim,
+            policy,
+            rec,
+            lane,
+            ..
+        } = shard;
         telemetry::with_collector(collector, || {
             for _ in 0..ticks {
                 sim.step(policy, rec);
+                lane.push(sim.last_cb_power().0);
             }
         });
     }
@@ -532,8 +543,8 @@ impl DatacenterSim {
         }
     }
 
-    /// Vectorized tree replay of one epoch: fold every rack's recorded
-    /// breaker powers rack-ascending into contiguous per-PDU tick lanes
+    /// Vectorized tree replay of one epoch: fold every rack's epoch lane
+    /// of breaker powers rack-ascending into contiguous per-PDU tick lanes
     /// (`lanes[p · ticks + k]`), then step the shared breakers tick by
     /// tick from the precomputed sums. Addition order per (PDU, tick)
     /// is racks ascending — exactly the order `Datacenter::step` sums —
@@ -542,7 +553,6 @@ impl DatacenterSim {
     fn replay_epoch(
         &mut self,
         cells: &[Mutex<RackShard>],
-        done: usize,
         ticks: usize,
         dt: Seconds,
         lanes: &mut [f64],
@@ -559,25 +569,16 @@ impl DatacenterSim {
             let lane = &mut lanes[p * ticks..(p + 1) * ticks];
             for cell in &cells[rack..rack + pdu.num_racks] {
                 let mut shard = lock_shard(cell);
-                if let Some(src) = shard.rec.epoch_lane() {
-                    assert_eq!(
-                        src.len(),
-                        ticks,
-                        "epoch lane must hold exactly one epoch of samples"
-                    );
-                    for (slot, &w) in lane.iter_mut().zip(src) {
-                        assert!(w >= 0.0 && w.is_finite(), "invalid rack power");
-                        *slot += w;
-                    }
-                    shard.rec.clear_epoch_lane();
-                } else {
-                    let src = &shard.rec.samples()[done..done + ticks];
-                    for (slot, s) in lane.iter_mut().zip(src) {
-                        let w = s.cb_power.0;
-                        assert!(w >= 0.0 && w.is_finite(), "invalid rack power");
-                        *slot += w;
-                    }
+                assert_eq!(
+                    shard.lane.len(),
+                    ticks,
+                    "epoch lane must hold exactly one epoch of samples"
+                );
+                for (slot, &w) in lane.iter_mut().zip(&shard.lane) {
+                    assert!(w >= 0.0 && w.is_finite(), "invalid rack power");
+                    *slot += w;
                 }
+                shard.lane.clear();
             }
             rack += pdu.num_racks;
         }
@@ -646,7 +647,6 @@ impl DatacenterSim {
             }
             self.replay_epoch(
                 cells,
-                done,
                 ticks,
                 dt,
                 &mut lanes,
@@ -662,31 +662,22 @@ impl DatacenterSim {
     }
 
     /// Finalize each shard exactly like `run_instrumented`: summary
-    /// inside the collector scope, then flush and snapshot. Streaming
-    /// shards finish their fold and hand back the incrementally built
-    /// digest; full shards digest their retained trajectory — both land
-    /// on the same byte stream.
+    /// inside the collector scope, then flush, snapshot and digest.
     fn finalize(self, cells: Vec<Mutex<RackShard>>, agg: DriveAgg) -> DcRunOutput {
         let mut racks = Vec::with_capacity(cells.len());
         let mut rack_digests = Vec::with_capacity(cells.len());
         for cell in cells {
-            let mut shard = cell.into_inner().unwrap_or_else(|e| e.into_inner());
-            shard.rec.finish_stream();
+            let shard = cell.into_inner().unwrap_or_else(|e| e.into_inner());
             let summary = telemetry::with_collector(Arc::clone(&shard.collector), || {
                 RunSummary::from_run("SprintCon", &shard.sim, &shard.rec)
             });
             shard.collector.flush();
-            let metrics = shard.collector.snapshot();
-            let stream_digest = shard.rec.stream_digest().map(|mut h| {
-                digest_run_tail(&mut h, shard.rec.events(), &summary, &metrics);
-                h.finish()
-            });
             let out = RunOutput {
                 recorder: shard.rec,
                 summary,
-                metrics,
+                metrics: shard.collector.snapshot(),
             };
-            rack_digests.push(stream_digest.unwrap_or_else(|| run_digest(&out)));
+            rack_digests.push(run_digest(&out));
             racks.push(out);
         }
 
@@ -742,15 +733,11 @@ impl DatacenterSim {
             self.drive(&cells, None)
         } else {
             let ctl = EpochCtl::new(width);
-            let chunk = cells.len().div_ceil(width);
             std::thread::scope(|scope| {
                 for w in 0..width {
-                    // Clamp both ends: ceil-division chunking can run a
-                    // trailing worker past the cell count, and every
-                    // worker must still reach the barrier.
-                    let lo = (w * chunk).min(cells.len());
-                    let hi = (lo + chunk).min(cells.len());
-                    let slice = &cells[lo..hi];
+                    // A trailing worker may own no racks; it must still
+                    // reach the barrier.
+                    let slice = &cells[chunk_bounds(cells.len(), width, w)];
                     let ctl = &ctl;
                     scope.spawn(move || Self::worker_loop(ctl, slice));
                 }

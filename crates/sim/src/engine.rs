@@ -156,6 +156,9 @@ pub struct RackSim {
     /// Stale measurement fed to the policy (one-period delay).
     last_measured: Watts,
     last_fan: Watts,
+    /// Breaker power of the last period (the datacenter tree replay
+    /// reads it after every step).
+    last_cb_power: Watts,
     max_rack_power: Watts,
     /// Previous tick's mode label (event-log edge detection); `None`
     /// until the first tick.
@@ -258,6 +261,7 @@ impl RackSim {
             now: Seconds::ZERO,
             dt: scenario.dt,
             last_measured: initial,
+            last_cb_power: Watts::ZERO,
             last_fan: Watts::ZERO,
             rack,
             fan,
@@ -290,6 +294,11 @@ impl RackSim {
 
     pub fn powered(&self) -> &[bool] {
         &self.powered
+    }
+
+    /// Power delivered through the breaker during the last period.
+    pub(crate) fn last_cb_power(&self) -> Watts {
+        self.last_cb_power
     }
 
     /// The feed integration scheme in effect.
@@ -531,14 +540,6 @@ impl RackSim {
                     &self.powered,
                     &mut self.scratch_loads,
                 );
-                if ipc > 0 {
-                    let iv = self.rack.role_mut(CoreRole::Interactive);
-                    for (row, load) in iv.utils.chunks_exact_mut(ipc).zip(&self.scratch_loads) {
-                        // Raw write: the tier already produced an in-range value,
-                        // matching the pre-rework direct core-field store.
-                        row.fill(load.util.0);
-                    }
-                }
             }
             TierState::OpenLoop(tier) => {
                 tier.step_into(
@@ -548,12 +549,18 @@ impl RackSim {
                     &self.powered,
                     &mut self.scratch_ol_loads,
                 );
-                if ipc > 0 {
-                    let iv = self.rack.role_mut(CoreRole::Interactive);
-                    for (row, load) in iv.utils.chunks_exact_mut(ipc).zip(&self.scratch_ol_loads) {
-                        row.fill(load.util.0);
-                    }
-                }
+            }
+        }
+        if ipc > 0 {
+            let util = |s: usize| match self.tier {
+                TierState::Util(_) => self.scratch_loads[s].util.0,
+                TierState::OpenLoop(_) => self.scratch_ol_loads[s].util.0,
+            };
+            let iv = self.rack.role_mut(CoreRole::Interactive);
+            for (s, row) in iv.utils.chunks_exact_mut(ipc).enumerate() {
+                // Raw write: the tier already produced an in-range value,
+                // matching the pre-rework direct core-field store.
+                row.fill(util(s));
             }
         }
         let bpc = self.rack.batch_cores_per_server();
@@ -666,6 +673,7 @@ impl RackSim {
         self.now += dt;
         self.last_measured = p_measured;
         self.last_fan = fan_power;
+        self.last_cb_power = outcome.cb_power;
         // Queue depth / tail quantiles reach the policy with the same
         // one-period staleness as the power measurement, and reach the
         // recorder as plain sample data — deliberately telemetry-free

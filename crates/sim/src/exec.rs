@@ -1,6 +1,6 @@
 //! The parallel experiment execution layer: fan campaigns of
-//! scenario × policy runs across a configurable rayon thread pool with
-//! deterministic, input-ordered results.
+//! scenario × policy runs across a configurable number of scoped worker
+//! threads (std only) with deterministic, input-ordered results.
 //!
 //! ## Determinism contract
 //!
@@ -10,11 +10,12 @@
 //! mechanisms guarantee that:
 //!
 //! * every run installs its own thread-scoped [`telemetry::Collector`]
-//!   (see `experiment::run_instrumented`), and pool workers are fresh
+//!   (see `experiment::run_instrumented`), and workers are fresh
 //!   threads that inherit no thread-locals, so metrics cannot bleed
 //!   across concurrently executing runs;
-//! * results are written into per-run slots and returned in **input
-//!   order**, never completion order.
+//! * each worker maps one contiguous chunk of the input and the chunks
+//!   are joined in order, so results come back in **input order**,
+//!   never completion order.
 //!
 //! Consequently [`Campaign::run`] is bit-identical to
 //! [`Campaign::run_sequential`] for everything a run computes: recorder
@@ -25,18 +26,22 @@
 //! contract by comparing digests of a sequential and a parallel pass
 //! (`bench_engine --check`, `tests/parallel.rs`).
 //!
-//! ## Thread-pool sizing
+//! ## Workers
 //!
 //! [`ExecConfig`] picks the worker count: `default()` uses every
 //! available core (each run is an independent, cache-friendly
 //! simulation; hyperthread-level oversubscription buys nothing), and
 //! `jobs(1)`/`sequential()` degenerate to plain iteration on the calling
-//! thread with no pool at all.
+//! thread. [`sweep_parallel`] splits its input into one contiguous chunk
+//! per worker (`chunk_bounds`, shared with the datacenter engine's
+//! persistent pool) on `std::thread::scope` threads; there is no work
+//! stealing, which for runs of seconds each is within noise.
 
 use crate::experiment::{run_policy_with, PolicyKind, PolicyOverrides, RunOutput};
 use crate::metrics::RunSummary;
 use crate::scenario::Scenario;
-use rayon::prelude::*;
+use std::ops::Range;
+use std::panic::resume_unwind;
 
 /// How a campaign or sweep is executed: on how many worker threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,12 +85,22 @@ impl ExecConfig {
     }
 }
 
+/// Static contiguous chunking: of `width` workers over `len` items,
+/// worker `w` owns `⌈len / width⌉` items, clamped at the end (trailing
+/// workers may own none).
+pub(crate) fn chunk_bounds(len: usize, width: usize, w: usize) -> Range<usize> {
+    let chunk = len.div_ceil(width);
+    let lo = (w * chunk).min(len);
+    lo..(lo + chunk).min(len)
+}
+
 /// Parallel parameter sweep with deterministic, input-ordered results.
 ///
-/// Fans `params` across a rayon pool sized by `exec`; each worker owns
-/// its own item, so there is no shared mutable state. Runs started
-/// inside the sweep install thread-scoped collectors, so per-run metrics
-/// stay isolated regardless of the thread a run lands on. With
+/// Splits `params` into one contiguous chunk per worker (sized by
+/// `exec`), maps each chunk on a scoped thread, and joins the chunks in
+/// order; a worker panic is re-raised on the caller. Runs started inside
+/// the sweep install thread-scoped collectors, so per-run metrics stay
+/// isolated regardless of the thread a run lands on. With
 /// `ExecConfig::sequential()` (or one available core) this is plain
 /// `iter().map()` on the calling thread.
 pub fn sweep_parallel<P, R, F>(params: &[P], exec: ExecConfig, f: F) -> Vec<R>
@@ -94,15 +109,23 @@ where
     R: Send,
     F: Fn(&P) -> R + Sync,
 {
-    let width = exec.resolved_jobs().min(params.len().max(1));
+    let width = exec.resolved_jobs().min(params.len()).max(1);
     if width <= 1 {
         return params.iter().map(f).collect();
     }
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(width)
-        .build()
-        .unwrap_or_else(|e| panic!("building a {width}-thread pool cannot fail: {e}"));
-    pool.install(|| params.par_iter().map(&f).collect())
+    let f = &f;
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..width)
+            .map(|w| {
+                let chunk = &params[chunk_bounds(params.len(), width, w)];
+                scope.spawn(move || chunk.iter().map(f).collect::<Vec<R>>())
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap_or_else(|payload| resume_unwind(payload)))
+            .collect()
+    })
 }
 
 /// Run every §VII policy over the scenario concurrently, results in
@@ -314,23 +337,19 @@ impl Campaign {
 /// thread — must produce equal digests; `bench_engine --check` and
 /// `tests/parallel.rs` enforce this.
 ///
-/// Composed from [`digest_sample`] (once per sample, in order) followed
-/// by [`digest_run_tail`] — the same decomposition the streaming
-/// datacenter recorder uses to fold samples incrementally without
-/// retaining them, which is what makes streaming digests bit-identical
-/// to full-retention digests by construction.
+/// Composed from [`digest_sample`], which the recorder folds once per
+/// sample at push time, followed by [`digest_run_tail`]. Retention does
+/// not enter into it, so streaming and full-retention digests are equal
+/// by construction.
 pub fn run_digest(out: &RunOutput) -> u64 {
-    let mut h = DigestBuilder::new();
-    for s in out.recorder.samples() {
-        digest_sample(&mut h, s);
-    }
+    let mut h = out.recorder.sample_digest();
     digest_run_tail(&mut h, out.recorder.events(), &out.summary, &out.metrics);
     h.finish()
 }
 
-/// Fold one recorder [`Sample`](crate::recorder::Sample) into `h` — the per-sample section of
-/// [`run_digest`], exposed so a streaming recorder can hash samples at
-/// push time instead of retaining them.
+/// Fold one recorder [`Sample`](crate::recorder::Sample) into `h` — the
+/// per-sample section of [`run_digest`], run by the recorder at push
+/// time.
 pub fn digest_sample(h: &mut DigestBuilder, s: &crate::recorder::Sample) {
     h.f64(s.t.0);
     h.f64(s.p_total.0);
@@ -361,7 +380,7 @@ pub fn digest_sample(h: &mut DigestBuilder, s: &crate::recorder::Sample) {
         h.f64(q.completed);
         h.f64(q.dropped);
     }
-    h.str(&s.mode_label.to_string());
+    h.str(s.mode_label.as_str());
 }
 
 /// Fold everything [`run_digest`] hashes *after* the samples: the event
@@ -434,9 +453,9 @@ pub fn digest_run_tail(
 /// deterministic digest; anything else that needs to hash structured
 /// results with the same bit-exact f64 semantics can reuse it.
 ///
-/// `Clone` snapshots the accumulator state, which is how the streaming
-/// recorder hands its incremental sample fold to the finalizer while
-/// remaining usable itself.
+/// `Clone` snapshots the accumulator state, which is how the recorder
+/// hands its incremental sample fold to [`run_digest`] while remaining
+/// usable itself.
 #[derive(Debug, Clone)]
 pub struct DigestBuilder(Fnv);
 
@@ -617,5 +636,20 @@ mod tests {
         assert_eq!(out, (0..23).map(|p| p * 7).collect::<Vec<_>>());
         let empty: Vec<u64> = Vec::new();
         assert!(sweep_parallel(&empty, ExecConfig::parallel(), |p| *p).is_empty());
+    }
+
+    #[test]
+    fn chunk_bounds_tile_the_input() {
+        for len in 0..12 {
+            for width in 1..6 {
+                let mut next = 0;
+                for w in 0..width {
+                    let r = chunk_bounds(len, width, w);
+                    assert_eq!(r.start, next, "len {len} width {width} worker {w}");
+                    next = r.end;
+                }
+                assert_eq!(next, len, "len {len} width {width}");
+            }
+        }
     }
 }

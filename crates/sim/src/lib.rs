@@ -19,7 +19,7 @@
 //! * [`experiment`] — policy runners (with per-run telemetry snapshots)
 //!   and parallel parameter sweeps.
 //! * [`exec`] — the parallel execution layer: [`exec::Campaign`] fans
-//!   scenario × policy runs across a configurable thread pool with
+//!   scenario × policy runs across configurable worker threads with
 //!   deterministic, input-ordered, sequential-bit-identical results.
 //! * [`ascii_plot`] — terminal charts for the examples and figure bins.
 

@@ -1,24 +1,24 @@
 //! Time-series recording of simulation runs, with CSV export and
 //! column-wise extraction for the figure harness.
 //!
-//! Two retention modes share one API:
+//! Every [`Recorder::push`] folds the [`Sample`] into an incremental FNV
+//! digest (the per-sample section of [`run_digest`]) and into the
+//! handful of running aggregates the §VII summary reads
+//! ([`Recorder::ups_energy_wh`] & friends). That fold is the only path
+//! to the digest and the summary, and it is exact at any point of a run.
 //!
-//! * **Full** (the default): every [`Sample`] is kept for the whole run
-//!   — what the figure harness, CSV export, and standalone [`run_digest`]
-//!   consume. Memory is O(ticks).
-//! * **Streaming** ([`Recorder::streaming`]): built for the datacenter
+//! Retention is a sample sink on top of the fold:
+//!
+//! * **Full** ([`Recorder::with_capacity`], the default) also keeps
+//!   every sample — what the figure harness, CSV export and column
+//!   extraction consume. Memory is O(ticks).
+//! * **Streaming** ([`Recorder::streaming`]) keeps none: the datacenter
 //!   engine's 10k-rack floors, where whole-run retention at every rack
-//!   is the memory ceiling. Samples are *not* kept; instead each push
-//!   appends `cb_power` to a contiguous epoch lane (drained by the tree
-//!   replay at every allocator boundary) and folds the sample into an
-//!   incremental FNV digest plus the handful of running aggregates the
-//!   §VII summary reads ([`Recorder::ups_energy_wh`] & friends). The
-//!   folds replicate the full-retention accessors' accumulation order
-//!   exactly, so summaries — and therefore run digests — come out
-//!   **bit-identical** to a full-retention recorder of the same
-//!   trajectory (`bench_datacenter --check` and `tests/datacenter.rs`
-//!   enforce this). Events and the open-loop tail summary are kept in
-//!   both modes (both are bounded and both feed the digest tail).
+//!   is the memory ceiling.
+//!
+//! Both modes run the same fold, so their digests and summaries are
+//! equal by construction. Events and the open-loop tail summary are kept
+//! in both modes (both are bounded and both feed the digest tail).
 //!
 //! [`run_digest`]: crate::exec::run_digest
 
@@ -82,25 +82,11 @@ pub enum SimEvent {
     JobCompleted { core: usize },
 }
 
-/// Streaming-mode fold state: everything the summary and digest need
-/// from the samples, without the samples.
-#[derive(Debug, Clone)]
-struct StreamFold {
-    /// Contiguous `cb_power` lane of the current epoch, in push order;
-    /// the datacenter tree replay consumes and clears it every epoch.
-    lane: Vec<f64>,
-    /// Incremental fold of every pushed sample, in push order — the
-    /// per-sample section of [`crate::exec::run_digest`], bit for bit.
-    digest: DigestBuilder,
-    /// First two timestamps seen: the same `dt` derivation full
-    /// retention uses (`t1 − t0`, fallback 1 s below two samples).
-    t0: Option<f64>,
-    t1: Option<f64>,
-    /// Samples pushed before `dt` is known (at most the first one);
-    /// folded into the aggregates as soon as the second push fixes `dt`.
-    pending: Vec<Sample>,
-    /// Samples folded into the aggregates so far.
-    folded: usize,
+/// The running aggregates the §VII summary reads, accumulated in push
+/// order (`+=` from a zero accumulator is a left fold).
+#[derive(Debug, Clone, Copy, Default)]
+struct Totals {
+    n: usize,
     sum_freq_interactive: f64,
     sum_freq_batch: f64,
     ups_energy_wh: f64,
@@ -109,36 +95,9 @@ struct StreamFold {
     first_shortfall: Option<Seconds>,
 }
 
-impl StreamFold {
-    fn new() -> Self {
-        StreamFold {
-            lane: Vec::new(),
-            digest: DigestBuilder::new(),
-            t0: None,
-            t1: None,
-            pending: Vec::new(),
-            folded: 0,
-            sum_freq_interactive: 0.0,
-            sum_freq_batch: 0.0,
-            ups_energy_wh: 0.0,
-            cb_energy_wh: 0.0,
-            trip_count: 0,
-            first_shortfall: None,
-        }
-    }
-
-    fn dt(&self) -> Option<Seconds> {
-        match (self.t0, self.t1) {
-            (Some(a), Some(b)) => Some(Seconds(b - a)),
-            _ => None,
-        }
-    }
-
-    /// Fold one sample into the running aggregates with the same
-    /// accumulation order as the full-retention accessors (`+=` from a
-    /// zero accumulator mirrors `Iterator::sum`'s left fold).
-    fn fold(&mut self, s: &Sample, dt: Seconds) {
-        self.folded += 1;
+impl Totals {
+    fn add(&mut self, s: &Sample, dt: Seconds) {
+        self.n += 1;
         self.sum_freq_interactive += s.mean_freq_interactive;
         self.sum_freq_batch += s.mean_freq_batch;
         self.ups_energy_wh += s.ups_power.over(dt).0;
@@ -150,117 +109,96 @@ impl StreamFold {
             self.first_shortfall = Some(s.t);
         }
     }
+}
 
-    fn push(&mut self, s: Sample) {
-        self.lane.push(s.cb_power.0);
-        crate::exec::digest_sample(&mut self.digest, &s);
-        if self.t0.is_none() {
-            self.t0 = Some(s.t.0);
-        } else if self.t1.is_none() {
-            self.t1 = Some(s.t.0);
-        }
-        match self.dt() {
-            Some(dt) => {
-                // The second push fixes dt; flush the first sample (the
-                // only one that can be pending) before folding this one,
-                // preserving push order.
-                for i in 0..self.pending.len() {
-                    let p = self.pending[i].clone();
-                    self.fold(&p, dt);
-                }
-                self.pending.clear();
-                self.fold(&s, dt);
+/// Everything the digest and the summary need from the samples, folded
+/// at push time.
+#[derive(Debug, Clone, Default)]
+struct Fold {
+    /// The per-sample section of [`crate::exec::run_digest`], in push
+    /// order.
+    digest: DigestBuilder,
+    /// The period, `t1 − t0` of the first two samples; `None` until the
+    /// second push (readers fall back to 1 s).
+    dt: Option<Seconds>,
+    /// The first sample, held until the second push fixes `dt`.
+    pending: Option<Sample>,
+    totals: Totals,
+}
+
+impl Fold {
+    fn push(&mut self, s: &Sample) {
+        crate::exec::digest_sample(&mut self.digest, s);
+        match (self.dt, self.pending.take()) {
+            (Some(dt), _) => self.totals.add(s, dt),
+            (None, None) => self.pending = Some(s.clone()),
+            (None, Some(first)) => {
+                let dt = Seconds(s.t.0 - first.t.0);
+                self.dt = Some(dt);
+                self.totals.add(&first, dt);
+                self.totals.add(s, dt);
             }
-            None => self.pending.push(s),
         }
     }
 
-    /// Fold any still-pending samples with the sub-two-sample fallback
-    /// `dt` of 1 s — exactly what full retention's `dt()` would use.
-    fn flush_pending(&mut self) {
-        for i in 0..self.pending.len() {
-            let p = self.pending[i].clone();
-            self.fold(&p, Seconds(1.0));
+    /// The totals as of now, a still-pending first sample included at
+    /// the 1 s fallback `dt` — so every accessor is exact mid-run.
+    fn totals(&self) -> Totals {
+        let mut t = self.totals;
+        if let Some(first) = &self.pending {
+            t.add(first, Seconds(1.0));
         }
-        self.pending.clear();
-    }
-
-    fn len(&self) -> usize {
-        self.folded + self.pending.len()
+        t
     }
 }
 
 /// An append-only recording of one run.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Recorder {
+    /// Whether pushed samples are kept in `samples` (full retention).
+    retain: bool,
     samples: Vec<Sample>,
     events: Vec<(Seconds, SimEvent)>,
     /// Whole-run request-latency tail summary (open-loop runs only);
     /// overwritten each tick with the cumulative sketch state.
     tail: Option<TailSummary>,
-    /// Streaming-mode fold state; `None` means full retention.
-    stream: Option<Box<StreamFold>>,
+    fold: Fold,
+}
+
+impl Default for Recorder {
+    /// Full retention.
+    fn default() -> Self {
+        Recorder::with_capacity(0)
+    }
 }
 
 impl Recorder {
+    /// A full-retention recorder, room for `n` samples.
     pub fn with_capacity(n: usize) -> Self {
         Recorder {
+            retain: true,
             samples: Vec::with_capacity(n),
             events: Vec::new(),
             tail: None,
-            stream: None,
+            fold: Fold::default(),
         }
     }
 
     /// A streaming recorder: samples are folded, not retained — see the
-    /// module docs for the contract. [`Recorder::samples`] stays empty;
-    /// use [`Recorder::epoch_lane`] for the current epoch's breaker
-    /// powers and the aggregate accessors for everything the summary
-    /// reads.
+    /// module docs. [`Recorder::samples`] stays empty; the aggregate
+    /// accessors and the digest are unaffected.
     pub fn streaming() -> Self {
         Recorder {
-            samples: Vec::new(),
-            events: Vec::new(),
-            tail: None,
-            stream: Some(Box::new(StreamFold::new())),
+            retain: false,
+            ..Recorder::with_capacity(0)
         }
     }
 
-    /// Whether this recorder folds instead of retaining samples.
-    pub fn is_streaming(&self) -> bool {
-        self.stream.is_some()
-    }
-
-    /// Streaming mode: the contiguous `cb_power` lane of the current
-    /// epoch (everything pushed since the last
-    /// [`Recorder::clear_epoch_lane`]). `None` under full retention.
-    pub fn epoch_lane(&self) -> Option<&[f64]> {
-        self.stream.as_ref().map(|st| st.lane.as_slice())
-    }
-
-    /// Streaming mode: drop the current epoch lane (keeps its
-    /// allocation). No-op under full retention.
-    pub fn clear_epoch_lane(&mut self) {
-        if let Some(st) = &mut self.stream {
-            st.lane.clear();
-        }
-    }
-
-    /// Streaming mode: a snapshot of the incremental per-sample digest
-    /// fold — the exact state [`crate::exec::run_digest`] would be in
-    /// after hashing every pushed sample. Finish it with
-    /// [`crate::exec::digest_run_tail`]. `None` under full retention.
-    pub fn stream_digest(&self) -> Option<DigestBuilder> {
-        self.stream.as_ref().map(|st| st.digest.clone())
-    }
-
-    /// Streaming mode: finalize the aggregate folds (flushes a
-    /// sub-two-sample run with the same fallback `dt` full retention
-    /// uses). Idempotent; no-op under full retention.
-    pub fn finish_stream(&mut self) {
-        if let Some(st) = &mut self.stream {
-            st.flush_pending();
-        }
+    /// A snapshot of the per-sample digest fold — the state
+    /// [`crate::exec::run_digest`] finishes with
+    /// [`crate::exec::digest_run_tail`].
+    pub(crate) fn sample_digest(&self) -> DigestBuilder {
+        self.fold.digest.clone()
     }
 
     /// Record the run-level request tail summary (open-loop runs).
@@ -274,9 +212,9 @@ impl Recorder {
     }
 
     pub fn push(&mut self, s: Sample) {
-        match &mut self.stream {
-            Some(st) => st.push(s),
-            None => self.samples.push(s),
+        self.fold.push(&s);
+        if self.retain {
+            self.samples.push(s);
         }
     }
 
@@ -298,12 +236,9 @@ impl Recorder {
         self.events.iter().filter(move |(_, e)| pred(e))
     }
 
-    /// Samples pushed so far (both modes; streaming counts folded ones).
+    /// Samples pushed so far, retained or not.
     pub fn len(&self) -> usize {
-        match &self.stream {
-            Some(st) => st.len(),
-            None => self.samples.len(),
-        }
+        self.fold.totals().n
     }
 
     pub fn is_empty(&self) -> bool {
@@ -318,16 +253,7 @@ impl Recorder {
     }
 
     fn dt(&self) -> Seconds {
-        match &self.stream {
-            Some(st) => st.dt().unwrap_or(Seconds(1.0)),
-            None => {
-                if self.samples.len() >= 2 {
-                    Seconds(self.samples[1].t.0 - self.samples[0].t.0)
-                } else {
-                    Seconds(1.0)
-                }
-            }
-        }
+        self.fold.dt.unwrap_or(Seconds(1.0))
     }
 
     /// Extract a column as a [`Trace`].
@@ -335,101 +261,36 @@ impl Recorder {
         Trace::new(self.dt(), self.samples.iter().map(f).collect())
     }
 
-    /// Streaming mode: aggregates over folded samples plus any samples
-    /// still pending a `dt` (a sub-two-sample run), folded on the fly
-    /// with the same 1 s fallback full retention would apply — so the
-    /// accessor is exact at any point, not just after
-    /// [`Recorder::finish_stream`].
-    fn stream_with_pending<T>(
-        st: &StreamFold,
-        base: T,
-        fold: impl Fn(T, &Sample, Seconds) -> T,
-    ) -> T {
-        let mut acc = base;
-        for s in &st.pending {
-            acc = fold(acc, s, Seconds(1.0));
-        }
-        acc
-    }
-
     /// Total energy delivered by the UPS over the run, Wh.
     pub fn ups_energy_wh(&self) -> f64 {
-        match &self.stream {
-            Some(st) => Self::stream_with_pending(st, st.ups_energy_wh, |acc, s, dt| {
-                acc + s.ups_power.over(dt).0
-            }),
-            None => {
-                let dt = self.dt();
-                self.samples.iter().map(|s| s.ups_power.over(dt).0).sum()
-            }
-        }
+        self.fold.totals().ups_energy_wh
     }
 
     /// Total energy through the breaker, Wh.
     pub fn cb_energy_wh(&self) -> f64 {
-        match &self.stream {
-            Some(st) => Self::stream_with_pending(st, st.cb_energy_wh, |acc, s, dt| {
-                acc + s.cb_power.over(dt).0
-            }),
-            None => {
-                let dt = self.dt();
-                self.samples.iter().map(|s| s.cb_power.over(dt).0).sum()
-            }
-        }
+        self.fold.totals().cb_energy_wh
     }
 
     /// Number of breaker trips.
     pub fn trip_count(&self) -> usize {
-        match &self.stream {
-            Some(st) => {
-                Self::stream_with_pending(st, st.trip_count, |acc, s, _| acc + s.tripped as usize)
-            }
-            None => self.samples.iter().filter(|s| s.tripped).count(),
-        }
+        self.fold.totals().trip_count
     }
 
     /// First time the rack browned out, if ever.
     pub fn first_shortfall(&self) -> Option<Seconds> {
-        match &self.stream {
-            Some(st) => Self::stream_with_pending(st, st.first_shortfall, |acc, s, _| {
-                if acc.is_none() && s.shortfall.0 > 1.0 {
-                    Some(s.t)
-                } else {
-                    acc
-                }
-            }),
-            None => self
-                .samples
-                .iter()
-                .find(|s| s.shortfall.0 > 1.0)
-                .map(|s| s.t),
-        }
+        self.fold.totals().first_shortfall
     }
 
     /// Mean interactive frequency over the whole run (zeros included).
     pub fn avg_freq_interactive(&self) -> f64 {
-        match &self.stream {
-            Some(st) => {
-                let sum = Self::stream_with_pending(st, st.sum_freq_interactive, |a, s, _| {
-                    a + s.mean_freq_interactive
-                });
-                mean_of(sum, st.len())
-            }
-            None => mean(self.samples.iter().map(|s| s.mean_freq_interactive)),
-        }
+        let t = self.fold.totals();
+        mean_of(t.sum_freq_interactive, t.n)
     }
 
     /// Mean batch frequency over the whole run (zeros included).
     pub fn avg_freq_batch(&self) -> f64 {
-        match &self.stream {
-            Some(st) => {
-                let sum = Self::stream_with_pending(st, st.sum_freq_batch, |a, s, _| {
-                    a + s.mean_freq_batch
-                });
-                mean_of(sum, st.len())
-            }
-            None => mean(self.samples.iter().map(|s| s.mean_freq_batch)),
-        }
+        let t = self.fold.totals();
+        mean_of(t.sum_freq_batch, t.n)
     }
 
     /// Write the full recording as CSV.
@@ -474,11 +335,6 @@ impl Recorder {
         }
         Ok(())
     }
-}
-
-fn mean(it: impl Iterator<Item = f64>) -> f64 {
-    let (sum, n) = it.fold((0.0, 0usize), |(s, n), v| (s + v, n + 1));
-    mean_of(sum, n)
 }
 
 fn mean_of(sum: f64, n: usize) -> f64 {
@@ -575,8 +431,43 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// The named oracle: the sample digest and the §VII aggregates
+    /// recomputed from retained samples after the run.
+    fn assert_matches_samples(r: &Recorder, samples: &[Sample]) {
+        let dt = if samples.len() >= 2 {
+            Seconds(samples[1].t.0 - samples[0].t.0)
+        } else {
+            Seconds(1.0)
+        };
+        let mut h = crate::exec::DigestBuilder::new();
+        for s in samples {
+            crate::exec::digest_sample(&mut h, s);
+        }
+        let mean = |f: fn(&Sample) -> f64| {
+            let sum = samples.iter().fold(0.0, |a, s| a + f(s));
+            mean_of(sum, samples.len())
+        };
+        let ups: f64 = samples.iter().map(|s| s.ups_power.over(dt).0).sum();
+        let cb: f64 = samples.iter().map(|s| s.cb_power.over(dt).0).sum();
+        let shortfall = samples.iter().find(|s| s.shortfall.0 > 1.0).map(|s| s.t);
+        assert_eq!(r.sample_digest().finish(), h.finish());
+        assert_eq!(r.len(), samples.len());
+        assert_eq!(r.trip_count(), samples.iter().filter(|s| s.tripped).count());
+        assert_eq!(r.first_shortfall(), shortfall);
+        assert_eq!(r.ups_energy_wh().to_bits(), ups.to_bits());
+        assert_eq!(r.cb_energy_wh().to_bits(), cb.to_bits());
+        assert_eq!(
+            r.avg_freq_interactive().to_bits(),
+            mean(|s| s.mean_freq_interactive).to_bits()
+        );
+        assert_eq!(
+            r.avg_freq_batch().to_bits(),
+            mean(|s| s.mean_freq_batch).to_bits()
+        );
+    }
+
     #[test]
-    fn streaming_fold_matches_full_retention_bit_for_bit() {
+    fn fold_matches_retained_samples_in_both_modes() {
         let mut full = Recorder::default();
         let mut st = Recorder::streaming();
         for k in 0..50 {
@@ -595,84 +486,32 @@ mod tests {
             }
             full.push(s.clone());
             st.push(s);
+            // Exact mid-run, not just at the end.
+            assert_matches_samples(&full, full.samples());
+            assert_matches_samples(&st, full.samples());
         }
-        st.finish_stream();
-        assert_eq!(st.len(), full.len());
-        assert_eq!(st.trip_count(), full.trip_count());
-        assert_eq!(st.first_shortfall(), full.first_shortfall());
-        assert_eq!(st.ups_energy_wh().to_bits(), full.ups_energy_wh().to_bits());
-        assert_eq!(st.cb_energy_wh().to_bits(), full.cb_energy_wh().to_bits());
-        assert_eq!(
-            st.avg_freq_interactive().to_bits(),
-            full.avg_freq_interactive().to_bits()
-        );
-        assert_eq!(
-            st.avg_freq_batch().to_bits(),
-            full.avg_freq_batch().to_bits()
-        );
-        // The epoch lane holds every cb_power pushed since the last clear.
-        let lane = st.epoch_lane().expect("streaming recorder has a lane");
-        assert_eq!(lane.len(), 50);
-        for (v, s) in lane.iter().zip(full.samples()) {
-            assert_eq!(v.to_bits(), s.cb_power.0.to_bits());
-        }
-        // And the incremental sample digest equals a from-scratch fold.
-        let mut h = crate::exec::DigestBuilder::new();
-        for s in full.samples() {
-            crate::exec::digest_sample(&mut h, s);
-        }
-        assert_eq!(
-            st.stream_digest().expect("streaming digest").finish(),
-            h.finish()
-        );
-        // Full retention exposes no streaming surface.
-        assert!(full.epoch_lane().is_none());
-        assert!(full.stream_digest().is_none());
+        assert!(st.samples().is_empty(), "streaming retains nothing");
     }
 
     #[test]
-    fn streaming_accessors_are_exact_mid_run_and_below_two_samples() {
-        // One sample: full retention falls back to dt = 1 s; streaming
-        // must agree even before finish_stream().
+    fn fold_is_exact_below_two_samples() {
+        // One sample: the fallback dt is 1 s in both modes.
         let mut full = Recorder::default();
         let mut st = Recorder::streaming();
         let s = sample(5.0, 200.0, 2800.0);
         full.push(s.clone());
         st.push(s);
-        assert_eq!(st.len(), 1);
-        assert_eq!(st.ups_energy_wh().to_bits(), full.ups_energy_wh().to_bits());
-        assert_eq!(
-            st.avg_freq_interactive().to_bits(),
-            full.avg_freq_interactive().to_bits()
-        );
-        // finish_stream is idempotent and changes nothing.
-        st.finish_stream();
-        st.finish_stream();
-        assert_eq!(st.ups_energy_wh().to_bits(), full.ups_energy_wh().to_bits());
-        // Empty streaming recorder behaves like an empty full one.
+        assert_matches_samples(&full, full.samples());
+        assert_matches_samples(&st, full.samples());
+        // An empty recorder reports neutral aggregates.
         let empty = Recorder::streaming();
         assert!(empty.is_empty());
         assert_eq!(empty.avg_freq_batch(), 0.0);
         assert_eq!(empty.first_shortfall(), None);
-    }
-
-    #[test]
-    fn epoch_lane_clears_without_losing_aggregates() {
-        let mut st = Recorder::streaming();
-        for k in 0..10 {
-            st.push(sample(k as f64, 50.0, 1000.0 + k as f64));
-        }
-        assert_eq!(st.epoch_lane().unwrap().len(), 10);
-        let energy_before = st.cb_energy_wh();
-        st.clear_epoch_lane();
-        assert!(st.epoch_lane().unwrap().is_empty());
-        assert_eq!(st.len(), 10, "clearing the lane must not drop samples");
-        assert_eq!(st.cb_energy_wh().to_bits(), energy_before.to_bits());
-        for k in 10..13 {
-            st.push(sample(k as f64, 50.0, 1000.0 + k as f64));
-        }
-        assert_eq!(st.epoch_lane().unwrap().len(), 3, "lane restarts per epoch");
-        assert_eq!(st.len(), 13);
+        assert_eq!(
+            empty.sample_digest().finish(),
+            crate::exec::DigestBuilder::new().finish()
+        );
     }
 
     #[test]

@@ -16,9 +16,8 @@ use powersim::server::ServerSpec;
 use powersim::units::Seconds;
 use powersim::ups::UpsSpec;
 use workloads::batch::BatchJob;
-use workloads::open_loop::{DemandModel, WorkloadError, WorkloadSource};
+use workloads::open_loop::{WorkloadError, WorkloadSource};
 use workloads::spec_profiles::paper_batch_mix;
-use workloads::wiki_trace::WikiTraceConfig;
 
 /// Everything that disturbs the closed loop from outside the controller:
 /// measurement noise plus the injected fault schedule.
@@ -372,16 +371,6 @@ impl ScenarioBuilder {
     pub fn workload(mut self, workload: WorkloadSource) -> Self {
         self.inner.workload = workload;
         self
-    }
-
-    /// One-release shim for the pre-redesign API; equivalent to
-    /// `workload(WorkloadSource::UtilTrace(DemandModel::Wiki(wiki)))`.
-    #[deprecated(
-        since = "0.8.0",
-        note = "use `workload(WorkloadSource::UtilTrace(DemandModel::Wiki(..)))` instead"
-    )]
-    pub fn wiki(self, wiki: WikiTraceConfig) -> Self {
-        self.workload(WorkloadSource::UtilTrace(DemandModel::Wiki(wiki)))
     }
 
     pub fn server(mut self, server: ServerSpec) -> Self {

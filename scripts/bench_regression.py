@@ -68,15 +68,30 @@ WHITELIST = {
         "separation.sprintcon_p99_s",
         "separation.sgct_p99_s",
     ],
+    "BENCH_tail_latency.json": [
+        "seed",
+        "secs",
+        "determinism",
+        "separation",
+        *(
+            f"policies.{i}.{field}"
+            for i in range(3)  # SprintCon, SGCT, SGCT-V2
+            for field in ("policy", "request_p99_s", "drop_fraction")
+        ),
+    ],
 }
 
 
 def lookup(doc, path):
+    """Follow a dotted path; integer parts index into lists."""
     node = doc
     for part in path.split("."):
-        if not isinstance(node, dict) or part not in node:
+        if isinstance(node, list) and part.isdigit() and int(part) < len(node):
+            node = node[int(part)]
+        elif isinstance(node, dict) and part in node:
+            node = node[part]
+        else:
             return ("missing", None)
-        node = node[part]
     return ("ok", node)
 
 

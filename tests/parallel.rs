@@ -1,7 +1,8 @@
 //! Execution-layer contract tests: the parallel campaign engine must be
 //! bit-identical to sequential execution (including under active fault
 //! injection), per-run telemetry must stay isolated across concurrent
-//! runs, and sweeps must return results in input order. CI runs this
+//! runs, and sweeps must return results in input order and re-raise a
+//! worker panic on the caller. CI runs this
 //! suite plus `bench_engine --check` on every push.
 
 use powersim::faults::FaultPlan;
@@ -104,6 +105,21 @@ fn sweep_parallel_returns_results_in_input_order() {
         i * 10
     });
     assert_eq!(out, vec![0, 10, 20, 30, 40, 50, 60, 70]);
+}
+
+#[test]
+fn sweep_parallel_propagates_a_worker_panic() {
+    let params: Vec<u32> = (0..8).collect();
+    let result = std::panic::catch_unwind(|| {
+        sweep_parallel(&params, ExecConfig::jobs(2), |&x| {
+            if x == 5 {
+                panic!("boom");
+            }
+            x
+        })
+    });
+    let payload = result.expect_err("a worker panic must reach the caller");
+    assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom"));
 }
 
 #[test]
