@@ -7,7 +7,7 @@ use std::hint::black_box;
 
 use powersim::units::{Seconds, Utilization, Watts};
 use sprint_control::linalg::Mat;
-use sprint_control::mpc::{MpcBackend, MpcConfig, MpcController};
+use sprint_control::mpc::{MpcConfig, MpcController};
 use sprint_control::pid::{Pid, PidConfig};
 use sprint_control::qp::QpProblem;
 use sprint_control::stability::mimo_spectral_radius;
@@ -47,22 +47,16 @@ fn bench_qp(c: &mut Criterion) {
 fn bench_mpc(c: &mut Criterion) {
     let mut group = c.benchmark_group("mpc");
     for &n in &[8usize, 64] {
-        for (tag, backend) in [
-            ("structured", MpcBackend::Structured),
-            ("dense", MpcBackend::DenseFista),
-        ] {
-            let mut ctrl = MpcController::with_backend(
-                MpcConfig::paper_default(),
-                vec![15.0; n],
-                vec![0.2; n],
-                vec![1.0; n],
-                backend,
-            );
-            let f_now = vec![0.6; n];
-            group.bench_function(format!("compute_{tag}_{n}ch"), |b| {
-                b.iter(|| black_box(ctrl.compute(1500.0, 1700.0, &f_now).freqs[0]))
-            });
-        }
+        let mut ctrl = MpcController::new(
+            MpcConfig::paper_default(),
+            vec![15.0; n],
+            vec![0.2; n],
+            vec![1.0; n],
+        );
+        let f_now = vec![0.6; n];
+        group.bench_function(format!("compute_structured_{n}ch"), |b| {
+            b.iter(|| black_box(ctrl.compute(1500.0, 1700.0, &f_now).freqs[0]))
+        });
     }
     group.finish();
 }

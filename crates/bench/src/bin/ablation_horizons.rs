@@ -2,18 +2,18 @@
 //! `Lp`/`Lc` — plus the §V-C timing contract (allocator period vs
 //! controller settling time) and the closed-loop gain margin.
 //!
-//! The grid runs on the default `MpcBackend::Structured` path, whose
-//! O(n·Lc) per-solve cost is what makes the long-horizon rows
-//! (`Lp` up to 64) affordable here; a sampled subset of rows is
-//! re-run against the dense FISTA oracle to pin the two backends to the
-//! same step response.
+//! The MPC's structured solve costs O(n·Lc) per period, which is what
+//! makes the long-horizon rows (`Lp` up to 64) affordable here. On a
+//! sampled subset of rows every period of the step response is also
+//! checked against the dense Eq. (8) oracle
+//! (`MpcController::dense_reference`).
 
 use powersim::cpu::CoreRole;
 use powersim::rack::Rack;
 use powersim::units::{NormFreq, Utilization, Watts};
 use sprint_control::reference::discrete_settling_periods;
 use sprint_control::stability::{max_gain_ratio, scalar_pole, LoopParams};
-use sprintcon::{MpcBackend, ServerPowerController, SprintConConfig};
+use sprintcon::{ServerPowerController, SprintConConfig};
 use sprintcon_bench::{banner, write_csv};
 
 fn rack(cfg: &SprintConConfig) -> Rack {
@@ -38,8 +38,55 @@ fn interactive_utils(rk: &Rack) -> Vec<Utilization> {
     utils
 }
 
-/// Run a 1.3→1.9 kW step and report (settling steps to 5%, overshoot W).
-fn step_response(cfg: &SprintConConfig) -> (usize, f64) {
+/// One control period; with `oracle` set, the MPC's solve is first
+/// checked against the dense oracle on the same inputs. Returns the
+/// worst `compute`-vs-oracle deviation of the period (0 without oracle).
+fn control_period(
+    ctrl: &mut ServerPowerController,
+    rk: &mut Rack,
+    utils: &[Utilization],
+    target: f64,
+    freqs: &mut Vec<f64>,
+    oracle: bool,
+) -> f64 {
+    let p_total = rk.power();
+    let reference = oracle.then(|| {
+        let p_fb = ctrl.feedback_power(p_total, utils).0;
+        ctrl.mpc().dense_reference(p_fb, target, freqs)
+    });
+    let d = ctrl.control(p_total, utils, Watts(target), freqs);
+    let mut dev = 0.0_f64;
+    if let Some(r) = reference {
+        // Only the oracle's certificate is asserted: on this rack's
+        // Hessian scale the structured solve's unit-step KKT residual
+        // can exceed 1e-6 (its root is resolved to one ulp of u = kᵀy)
+        // even while its x matches the oracle's to ~1e-11.
+        assert!(d.qp.converged, "structured solve did not converge");
+        assert!(
+            r.converged && r.kkt_residual <= 1e-6,
+            "dense oracle not KKT-certified: {}",
+            r.kkt_residual
+        );
+        for (x, y) in d.qp.x.iter().zip(&r.x) {
+            dev = dev.max((x - y).abs());
+        }
+        assert!(
+            dev <= 1e-6,
+            "compute deviates from the dense oracle by {dev:.3e}"
+        );
+    }
+    let ids = rk.cores_with_role(CoreRole::Batch);
+    for (id, &f) in ids.iter().zip(&d.freqs) {
+        rk.set_freq(*id, NormFreq(f));
+    }
+    *freqs = d.freqs;
+    dev
+}
+
+/// Run a 1.3→1.9 kW step and report (settling steps to 5%, overshoot W,
+/// worst per-period `compute`-vs-oracle deviation). With `oracle` set,
+/// every period is checked against the dense oracle.
+fn step_response(cfg: &SprintConConfig, oracle: bool) -> (usize, f64, f64) {
     let mut ctrl = ServerPowerController::new(cfg);
     let mut rk = rack(cfg);
     let utils = interactive_utils(&rk);
@@ -48,14 +95,11 @@ fn step_response(cfg: &SprintConConfig) -> (usize, f64) {
         .iter()
         .map(|&id| rk.freq(id).0)
         .collect();
+    let mut dev: f64 = 0.0;
     // Settle at 1300 W first.
     for _ in 0..60 {
-        let d = ctrl.control(rk.power(), &utils, Watts(1300.0), &freqs);
-        let ids = rk.cores_with_role(CoreRole::Batch);
-        for (id, &f) in ids.iter().zip(&d.freqs) {
-            rk.set_freq(*id, NormFreq(f));
-        }
-        freqs = d.freqs;
+        let d = control_period(&mut ctrl, &mut rk, &utils, 1300.0, &mut freqs, oracle);
+        dev = dev.max(d);
     }
     let target = 1900.0;
     let mut settle = 60;
@@ -66,19 +110,15 @@ fn step_response(cfg: &SprintConConfig) -> (usize, f64) {
         if (p_fb.0 - target).abs() < 0.05 * target && settle == 60 {
             settle = t;
         }
-        let d = ctrl.control(rk.power(), &utils, Watts(target), &freqs);
-        let ids = rk.cores_with_role(CoreRole::Batch);
-        for (id, &f) in ids.iter().zip(&d.freqs) {
-            rk.set_freq(*id, NormFreq(f));
-        }
-        freqs = d.freqs;
+        let d = control_period(&mut ctrl, &mut rk, &utils, target, &mut freqs, oracle);
+        dev = dev.max(d);
     }
-    (settle, overshoot)
+    (settle, overshoot, dev)
 }
 
 /// The τ_r / Lp / Lc grid. The long-horizon tail (Lp ≥ 24) exists
-/// because the structured backend solves each period in O(n·Lc); the
-/// dense oracle would make those rows the dominant cost of the whole
+/// because the structured solve costs O(n·Lc) per period; the dense
+/// oracle would make those rows the dominant cost of the whole
 /// ablation.
 const GRID: [(f64, usize, usize); 12] = [
     (1.0, 8, 2),
@@ -95,10 +135,9 @@ const GRID: [(f64, usize, usize); 12] = [
     (4.0, 64, 16),
 ];
 
-/// Rows re-run on the dense FISTA oracle: the paper default, one short
-/// and one long horizon. Both backends solve the same QP to the same
-/// tolerance, so the *sampled* step responses must agree; running the
-/// oracle on every row would defeat the point of the structured path.
+/// Rows whose every period is checked against the dense oracle: the
+/// paper default, one short and one long horizon. Checking every row
+/// would defeat the point of the structured solve.
 const DENSE_ORACLE_ROWS: [usize; 3] = [2, 6, 9];
 
 fn grid_config(tau: f64, lp: usize, lc: usize) -> SprintConConfig {
@@ -116,12 +155,16 @@ fn main() {
         "{:>6} {:>4} {:>4} {:>12} {:>12}",
         "tau_r", "Lp", "Lc", "settle s", "overshoot W"
     );
-    for (tau, lp, lc) in GRID {
+    let mut oracle_devs = Vec::new();
+    for (i, (tau, lp, lc)) in GRID.into_iter().enumerate() {
         let cfg = grid_config(tau, lp, lc);
-        assert_eq!(cfg.mpc_backend, MpcBackend::Structured, "grid runs O(n·Lc)");
-        let (settle, overshoot) = step_response(&cfg);
+        let oracle = DENSE_ORACLE_ROWS.contains(&i);
+        let (settle, overshoot, dev) = step_response(&cfg, oracle);
         println!("{tau:>6.1} {lp:>4} {lc:>4} {settle:>12} {overshoot:>12.1}");
         rows.push(vec![tau, lp as f64, lc as f64, settle as f64, overshoot]);
+        if oracle {
+            oracle_devs.push((tau, lp, lc, dev));
+        }
     }
     let path = write_csv(
         "ablation_horizons.csv",
@@ -130,25 +173,9 @@ fn main() {
     );
     println!("csv: {}", path.display());
 
-    banner("dense-oracle agreement (sampled rows)");
-    for &i in &DENSE_ORACLE_ROWS {
-        let (tau, lp, lc) = GRID[i];
-        let mut cfg = grid_config(tau, lp, lc);
-        cfg.mpc_backend = MpcBackend::DenseFista;
-        let (settle_d, overshoot_d) = step_response(&cfg);
-        let (settle_s, overshoot_s) = (rows[i][3] as usize, rows[i][4]);
-        println!(
-            "tau={tau} Lp={lp} Lc={lc}: structured ({settle_s}, {overshoot_s:.1}) \
-             vs dense ({settle_d}, {overshoot_d:.1})"
-        );
-        assert!(
-            settle_s.abs_diff(settle_d) <= 1,
-            "backends disagree on settling: {settle_s} vs {settle_d}"
-        );
-        assert!(
-            (overshoot_s - overshoot_d).abs() <= 5.0,
-            "backends disagree on overshoot: {overshoot_s} vs {overshoot_d}"
-        );
+    banner("dense-oracle agreement (sampled rows, every period)");
+    for (tau, lp, lc, dev) in oracle_devs {
+        println!("tau={tau} Lp={lp} Lc={lc}: max |compute − oracle| {dev:.3e} over 120 periods");
     }
 
     // Eq.(7) intuition: larger τ_r → smaller overshoot, slower settling.

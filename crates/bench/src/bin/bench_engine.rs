@@ -9,18 +9,12 @@
 //!    `"speedup_meaningful": false` and no speedup claims are printed
 //!    (the numbers are pure scheduling noise there). The determinism
 //!    check is the invariant that must hold everywhere.
-//! 2. **MPC hot path** — mean ns per control period at 64 channels for
-//!    three generations of the solve: the pre-workspace allocating path
-//!    (fresh `Mat` + bounds + `QpProblem::new` + `solve` every period,
-//!    replicated here verbatim), the dense FISTA workspace path
-//!    (`MpcBackend::DenseFista`), and the structured
-//!    diagonal-plus-rank-one path (`MpcBackend::Structured`, the
-//!    production default). An **agreement gate** runs both backends over
-//!    the same feedback sequence and requires the decision vectors to
-//!    match within 1e-6 with both KKT-certified. Also reports the dense
-//!    oracle's kernel speedup: the digest-frozen scalar `Mat::matvec`
-//!    vs the unrolled `Mat::matvec_into` the oracle's FISTA gradient
-//!    runs now, agreement-gated at 1e-9 relative.
+//! 2. **MPC hot path** — mean ns per control period of
+//!    `MpcController::compute` at 64 channels. An **agreement gate**
+//!    runs `compute` over a feedback sequence and, at every period,
+//!    requires its decision vector to match the dense Eq. (8) oracle
+//!    (`MpcController::dense_reference`) on the same inputs within 1e-6,
+//!    with both solves KKT-certified.
 //! 3. **Rack substrate** — ns per plant tick at the paper-default rack
 //!    (16 servers × 8 cores), single-threaded, for the pre-rework
 //!    AoS substrate (`Rack { servers: Vec<Server> }` with allocating
@@ -41,11 +35,10 @@
 //! Flags: `--secs N` scenario length (default 120), `--out PATH`
 //! (default `BENCH_engine.json`), `--check` CI gate mode (small
 //! campaign, no wall-clock sweep; exit 1 on digest mismatch, on
-//! dense-vs-structured disagreement > 1e-6, on a structured path
-//! slower than the dense one, on substrate model disagreement, on a
-//! substrate speedup under the floor, on a full loop slower than
-//! the committed pre-rework baseline, or on a counted SGCT run that
-//! diverges from the plain one).
+//! `compute`-vs-oracle disagreement > 1e-6, on substrate model
+//! disagreement, on a substrate speedup under the floor, on a full loop
+//! slower than the committed pre-rework baseline, or on a counted SGCT
+//! run that diverges from the plain one).
 
 use baselines::{EstimatorProbe, PlantProbe, PowerProbe, ProbeCache, SgctPolicy, SgctVariant};
 use powersim::cpu::CoreRole;
@@ -56,9 +49,7 @@ use simkit::{
     run_digest, Campaign, ExecConfig, FreqCommand, MetricsSnapshot, ModeLabel, Policy,
     PolicyCommand, PolicyKind, RunOutput, RunSummary, Scenario, SimView,
 };
-use sprint_control::linalg::Mat;
-use sprint_control::mpc::{MpcBackend, MpcConfig, MpcController};
-use sprint_control::qp::QpProblem;
+use sprint_control::mpc::{MpcConfig, MpcController};
 use std::time::Instant;
 
 struct Args {
@@ -116,73 +107,12 @@ fn digest_mismatches(
         .collect()
 }
 
-/// One control period of the *pre-refactor* MPC: fresh Hessian, fresh
-/// gradient, fresh bound vectors, fresh `QpProblem`, allocating FISTA
-/// buffers inside `solve` — the per-period construction this PR removed,
-/// replicated operation-for-operation as the "before" measurement.
-#[allow(clippy::too_many_arguments)] // mirrors the old controller state field-for-field
-fn compute_allocating(
-    cfg: &MpcConfig,
-    gains: &[f64],
-    r: &[f64],
-    r_floor: f64,
-    fmin: &[f64],
-    fmax: &[f64],
-    p_fb: f64,
-    target: f64,
-    f_now: &[f64],
-) -> f64 {
-    let n = gains.len();
-    let (lp, lc) = (cfg.lp, cfg.lc);
-    let dim = n * lc;
-    let mut h = Mat::zeros(dim, dim);
-    let mut g = vec![0.0; dim];
-    let kf: f64 = gains.iter().zip(f_now).map(|(k, f)| k * f).sum();
-    for step in 1..=lp {
-        let b = step.min(lc) - 1;
-        let decay = (-(step as f64) * cfg.period / cfg.tau_r).exp();
-        let reference = target - decay * (target - p_fb);
-        let bn = reference - p_fb + kf;
-        for j in 0..n {
-            let kj = gains[j];
-            g[b * n + j] += -2.0 * cfg.q * bn * kj;
-            for i in 0..n {
-                h[(b * n + j, b * n + i)] += 2.0 * cfg.q * kj * gains[i];
-            }
-        }
-    }
-    for b in 0..lc {
-        let steps_fed = if b + 1 < lc { 1 } else { lp - (lc - 1) };
-        let share = steps_fed as f64 / lp as f64;
-        for j in 0..n {
-            let rj = cfg.r_scale * r[j].max(r_floor) * share;
-            h[(b * n + j, b * n + j)] += 2.0 * rj;
-            g[b * n + j] += -2.0 * rj * fmax[j];
-        }
-    }
-    let mut lo = Vec::with_capacity(dim);
-    let mut hi = Vec::with_capacity(dim);
-    for _ in 0..lc {
-        lo.extend_from_slice(fmin);
-        hi.extend_from_slice(fmax);
-    }
-    let qp = QpProblem::new(h, g, lo, hi).solve(1e-7, 2_000);
-    qp.x[0]
-}
-
-/// Deterministic feedback sequence shared by every measured path.
+/// Deterministic feedback sequence shared by the MPC measurements.
 fn feedback(i: usize) -> f64 {
     1500.0 + 80.0 * ((i as f64) * 0.37).sin()
 }
 
-/// Per-period cost of the three MPC generations, ns.
-struct MpcTimings {
-    alloc_ns: f64,
-    dense_ns: f64,
-    structured_ns: f64,
-}
-
-/// Worst-case dense-vs-structured deviation over a feedback sweep.
+/// Worst-case `compute`-vs-oracle deviation over a feedback sweep.
 struct Agreement {
     max_solution_dev: f64,
     max_kkt_residual: f64,
@@ -194,23 +124,20 @@ impl Agreement {
     }
 }
 
-fn mk_controller(channels: usize, backend: MpcBackend) -> MpcController {
-    MpcController::with_backend(
+fn mk_controller(channels: usize) -> MpcController {
+    MpcController::new(
         MpcConfig::paper_default(),
         vec![15.0; channels],
         vec![0.2; channels],
         vec![1.0; channels],
-        backend,
     )
 }
 
-/// The agreement gate: both backends on identical inputs, every period.
-/// Decision vectors must track within `1e-6` and both solves must stay
-/// KKT-certified — this is what licenses shipping the structured path as
-/// the default.
+/// The agreement gate: `compute` against the dense oracle on identical
+/// inputs, every period. Decision vectors must track within `1e-6` and
+/// both solves must stay KKT-certified.
 fn check_agreement(channels: usize, periods: usize) -> Agreement {
-    let mut dense = mk_controller(channels, MpcBackend::DenseFista);
-    let mut structured = mk_controller(channels, MpcBackend::Structured);
+    let mut ctrl = mk_controller(channels);
     let f_now = vec![0.6; channels];
     let target = 1700.0;
     let mut agg = Agreement {
@@ -218,152 +145,37 @@ fn check_agreement(channels: usize, periods: usize) -> Agreement {
         max_kkt_residual: 0.0,
     };
     for i in 0..periods {
-        let a = dense.compute(feedback(i), target, &f_now);
-        let b = structured.compute(feedback(i), target, &f_now);
-        assert!(a.qp.converged && b.qp.converged, "period {i} diverged");
-        for (x, y) in a.qp.x.iter().zip(&b.qp.x) {
+        let a = ctrl.compute(feedback(i), target, &f_now);
+        let b = ctrl.dense_reference(feedback(i), target, &f_now);
+        assert!(a.qp.converged && b.converged, "period {i} diverged");
+        for (x, y) in a.qp.x.iter().zip(&b.x) {
             agg.max_solution_dev = agg.max_solution_dev.max((x - y).abs());
         }
         agg.max_kkt_residual = agg
             .max_kkt_residual
             .max(a.qp.kkt_residual)
-            .max(b.qp.kkt_residual);
+            .max(b.kkt_residual);
     }
     agg
 }
 
-/// The dense oracle's hot kernel before and after the unrolled rework:
-/// the FISTA gradient is one `H·x` per iteration, so the oracle's cost
-/// is the matvec's. "Naive" is the digest-frozen scalar [`Mat::matvec`]
-/// (the op the oracle ran per gradient before this PR, fresh `Vec`
-/// included); "unrolled" is the 4-accumulator write-into
-/// [`Mat::matvec_into`] the oracle runs now. Interleaved best-of-3 at
-/// the 64-channel dense Hessian size.
-struct OracleKernel {
-    dim: usize,
-    naive_ns: f64,
-    unrolled_ns: f64,
-    speedup: f64,
-    max_rel_dev: f64,
-}
-
-fn bench_oracle_kernel(dim: usize, iters: usize) -> OracleKernel {
-    let mut h = Mat::zeros(dim, dim);
-    for i in 0..dim {
-        for j in 0..dim {
-            h[(i, j)] = 0.01 * (((i * 31 + j * 17) % 101) as f64 - 50.0) / 50.0;
-        }
-        h[(i, i)] += 2.0;
-    }
-    let x: Vec<f64> = (0..dim)
-        .map(|i| ((i * 13) % 7) as f64 / 7.0 - 0.4)
-        .collect();
-    let mut y = vec![0.0; dim];
-
-    // Agreement: the unrolled kernel re-associates the dot-product sum,
-    // so it is *not* bitwise-equal to the naive one — require 1e-12
-    // relative instead (the same tolerance class as the lib-level gate).
-    let reference = h.matvec(&x);
-    h.matvec_into(&x, &mut y);
-    let mut max_rel_dev = 0.0f64;
-    for (a, b) in reference.iter().zip(&y) {
-        max_rel_dev = max_rel_dev.max((a - b).abs() / a.abs().max(1.0));
-    }
-
-    let (mut naive_ns, mut unrolled_ns) = (f64::INFINITY, f64::INFINITY);
-    let mut sink = 0.0;
-    for _ in 0..3 {
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            sink += h.matvec(&x)[0];
-        }
-        naive_ns = naive_ns.min(t0.elapsed().as_nanos() as f64 / iters as f64);
-
-        let t1 = Instant::now();
-        for _ in 0..iters {
-            h.matvec_into(&x, &mut y);
-            sink += y[0];
-        }
-        unrolled_ns = unrolled_ns.min(t1.elapsed().as_nanos() as f64 / iters as f64);
-    }
-    std::hint::black_box(sink);
-    OracleKernel {
-        dim,
-        naive_ns,
-        unrolled_ns,
-        speedup: naive_ns / unrolled_ns,
-        max_rel_dev,
-    }
-}
-
-fn bench_mpc_paths(channels: usize, periods: usize) -> MpcTimings {
-    let cfg = MpcConfig::paper_default();
-    let gains = vec![15.0; channels];
-    let fmin = vec![0.2; channels];
-    let fmax = vec![1.0; channels];
-    let r = vec![1.0; channels];
+/// Mean ns per `compute` period over the shared feedback sequence.
+fn bench_mpc_compute(channels: usize, periods: usize) -> f64 {
+    let mut ctrl = mk_controller(channels);
     let f_now = vec![0.6; channels];
     let target = 1700.0;
-
-    let mut dense = mk_controller(channels, MpcBackend::DenseFista);
-    let mut structured = mk_controller(channels, MpcBackend::Structured);
-    let r_floor = dense.r_floor;
     let mut sink = 0.0;
-
-    // Warm up all paths (page in, branch-train) before timing.
+    // Warm up (page in, branch-train) before timing.
     for i in 0..10 {
-        sink += dense.compute(feedback(i), target, &f_now).freqs[0];
-        sink += structured.compute(feedback(i), target, &f_now).freqs[0];
-        sink += compute_allocating(
-            &cfg,
-            &gains,
-            &r,
-            r_floor,
-            &fmin,
-            &fmax,
-            feedback(i),
-            target,
-            &f_now,
-        );
+        sink += ctrl.compute(feedback(i), target, &f_now).freqs[0];
     }
-
-    let t0 = Instant::now();
+    let t = Instant::now();
     for i in 0..periods {
-        sink += compute_allocating(
-            &cfg,
-            &gains,
-            &r,
-            r_floor,
-            &fmin,
-            &fmax,
-            feedback(i),
-            target,
-            &f_now,
-        );
+        sink += ctrl.compute(feedback(i), target, &f_now).freqs[0];
     }
-    let alloc_ns = t0.elapsed().as_nanos() as f64 / periods as f64;
-
-    let t1 = Instant::now();
-    for i in 0..periods {
-        sink += dense.compute(feedback(i), target, &f_now).freqs[0];
-    }
-    let dense_ns = t1.elapsed().as_nanos() as f64 / periods as f64;
-
-    // The structured path is orders of magnitude cheaper; run 50× the
-    // periods so the measurement isn't timer-resolution noise.
-    let structured_periods = periods * 50;
-    let t2 = Instant::now();
-    for i in 0..structured_periods {
-        sink += structured.compute(feedback(i), target, &f_now).freqs[0];
-    }
-    let structured_ns = t2.elapsed().as_nanos() as f64 / structured_periods as f64;
-
+    let ns = t.elapsed().as_nanos() as f64 / periods as f64;
     std::hint::black_box(sink);
-    MpcTimings {
-        alloc_ns,
-        dense_ns,
-        structured_ns,
-    }
+    ns
 }
 
 /// The pre-rework AoS rack substrate, replicated operation-for-operation
@@ -956,9 +768,7 @@ fn main() {
 
     if args.check_only {
         // CI gate 1: determinism — a small campaign, sequential vs 4
-        // workers, digest-compared run by run (under the default
-        // structured MPC backend, so the gate also proves the new solver
-        // is seed-deterministic).
+        // workers, digest-compared run by run.
         let c = campaign(args.secs.min(30.0));
         let seq = c.run_sequential();
         let par = c.run_with(ExecConfig::jobs(4));
@@ -971,49 +781,19 @@ fn main() {
             "determinism check passed: {} runs bit-identical (seq vs 4 workers)",
             seq.len()
         );
-        // CI gate 2: backend agreement — dense and structured must stay
-        // within 1e-6 of each other, KKT-certified.
-        let agreement = check_agreement(64, 50);
+        // CI gate 2: oracle agreement — `compute` must stay within 1e-6
+        // of the dense oracle at every period, both KKT-certified.
+        let agreement = check_agreement(64, 200);
         if !agreement.pass(1e-6) {
             eprintln!(
-                "BACKEND DISAGREEMENT: max solution dev {:.3e}, max KKT residual {:.3e} (gate 1e-6)",
+                "ORACLE DISAGREEMENT: max solution dev {:.3e}, max KKT residual {:.3e} (gate 1e-6)",
                 agreement.max_solution_dev, agreement.max_kkt_residual
             );
             std::process::exit(1);
         }
         println!(
-            "agreement check passed: dense vs structured within {:.3e} (KKT ≤ {:.3e})",
+            "agreement check passed: compute vs dense oracle within {:.3e} (KKT ≤ {:.3e})",
             agreement.max_solution_dev, agreement.max_kkt_residual
-        );
-        // CI gate 3: the structured path must actually be the fast one.
-        let t = bench_mpc_paths(64, 50);
-        if t.structured_ns >= t.dense_ns {
-            eprintln!(
-                "PERF REGRESSION: structured {:.0} ns/period ≥ dense {:.0} ns/period",
-                t.structured_ns, t.dense_ns
-            );
-            std::process::exit(1);
-        }
-        println!(
-            "perf check passed: structured {:.0} ns/period vs dense {:.0} ns/period ({:.1}x)",
-            t.structured_ns,
-            t.dense_ns,
-            t.dense_ns / t.structured_ns
-        );
-        // CI gate 3b: the unrolled oracle kernel must still compute the
-        // oracle's matvec (1e-9 relative; speedup is reported, not
-        // gated — 1-core CI jitter would make a ratio gate flaky).
-        let ok = bench_oracle_kernel(128, 2_000);
-        if ok.max_rel_dev > 1e-9 {
-            eprintln!(
-                "ORACLE KERNEL DISAGREEMENT: unrolled matvec off by {:.3e} relative",
-                ok.max_rel_dev
-            );
-            std::process::exit(1);
-        }
-        println!(
-            "oracle kernel check passed: unrolled {:.0} ns vs naive {:.0} ns at dim {} ({:.1}x, dev {:.1e})",
-            ok.unrolled_ns, ok.naive_ns, ok.dim, ok.speedup, ok.max_rel_dev
         );
         // CI gate 4: the SoA substrate must compute the identical plant
         // and beat the pre-rework AoS substrate by at least the floor.
@@ -1104,21 +884,10 @@ fn main() {
     );
 
     println!("MPC hot path, 64 channels x 200 periods...");
-    let t = bench_mpc_paths(64, 200);
-    println!(
-        "  allocating (pre-workspace) : {:.0} ns/period\n  dense FISTA (workspace)    : {:.0} ns/period\n  structured rank-one (default): {:.0} ns/period  ({:.1}x vs dense)",
-        t.alloc_ns,
-        t.dense_ns,
-        t.structured_ns,
-        t.dense_ns / t.structured_ns
-    );
-
-    println!("dense-oracle kernel, 128x128 Hessian...");
-    let ok = bench_oracle_kernel(128, 20_000);
-    println!(
-        "  naive matvec   : {:.0} ns\n  unrolled matvec: {:.0} ns  ({:.1}x, max rel dev {:.1e})",
-        ok.naive_ns, ok.unrolled_ns, ok.speedup, ok.max_rel_dev
-    );
+    // `compute` is cheap; run 50× the periods so the measurement isn't
+    // timer-resolution noise.
+    let structured_ns = bench_mpc_compute(64, 200 * 50);
+    println!("  compute: {structured_ns:.0} ns/period");
 
     println!("rack substrate, paper-default rack, single thread...");
     let sub = bench_substrate(4096, 50_000, 400_000);
@@ -1171,21 +940,12 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"host\": {{\"cpus\": {cpus}}},\n  \"campaign\": {{\"runs\": {}, \"scenario_secs\": {}}},\n  \"wall_clock\": {{\"seq_ms\": {seq_ms:.1}, \"speedup_meaningful\": {speedup_meaningful}, \"parallel\": [\n    {}\n  ]}},\n  \"determinism\": {{\"checked\": true, \"bit_identical\": {all_match}}},\n  \"mpc_hot_path\": {{\"channels\": 64, \"periods\": 200, \"alloc_ns_per_period\": {:.0}, \"dense_ns_per_period\": {:.0}, \"structured_ns_per_period\": {:.0}, \"speedup_structured_vs_dense\": {:.1}, \"agreement\": {{\"max_solution_dev\": {:.3e}, \"max_kkt_residual\": {:.3e}, \"pass\": {agreement_ok}}}, \"oracle_kernel\": {{\"dim\": {}, \"naive_matvec_ns\": {:.0}, \"unrolled_matvec_ns\": {:.0}, \"speedup\": {:.2}, \"max_rel_dev\": {:.3e}}}}},\n  \"server_ticks\": {{\"full_loop_per_sec\": {full_loop:.0}, \"prework_full_loop_per_sec\": {PREWORK_FULL_LOOP_SERVER_TICKS_PER_SEC:.0}, \"full_loop_speedup\": {:.2}, \"substrate\": {{\"prework_ns_per_tick\": {:.0}, \"soa_ns_per_tick\": {:.0}, \"speedup\": {:.2}, \"model_bit_identical\": {}}}}},\n  \"sgct_hot_path\": {{\"scenario_secs\": {SGCT_RUN_SECS}, {}}}\n}}\n",
+        "{{\n  \"host\": {{\"cpus\": {cpus}}},\n  \"campaign\": {{\"runs\": {}, \"scenario_secs\": {}}},\n  \"wall_clock\": {{\"seq_ms\": {seq_ms:.1}, \"speedup_meaningful\": {speedup_meaningful}, \"parallel\": [\n    {}\n  ]}},\n  \"determinism\": {{\"checked\": true, \"bit_identical\": {all_match}}},\n  \"mpc_hot_path\": {{\"channels\": 64, \"periods\": 200, \"structured_ns_per_period\": {structured_ns:.0}, \"agreement\": {{\"max_solution_dev\": {:.3e}, \"max_kkt_residual\": {:.3e}, \"pass\": {agreement_ok}}}}},\n  \"server_ticks\": {{\"full_loop_per_sec\": {full_loop:.0}, \"prework_full_loop_per_sec\": {PREWORK_FULL_LOOP_SERVER_TICKS_PER_SEC:.0}, \"full_loop_speedup\": {:.2}, \"substrate\": {{\"prework_ns_per_tick\": {:.0}, \"soa_ns_per_tick\": {:.0}, \"speedup\": {:.2}, \"model_bit_identical\": {}}}}},\n  \"sgct_hot_path\": {{\"scenario_secs\": {SGCT_RUN_SECS}, {}}}\n}}\n",
         c.len(),
         args.secs,
         jobs_json.join(",\n    "),
-        t.alloc_ns,
-        t.dense_ns,
-        t.structured_ns,
-        t.dense_ns / t.structured_ns,
         agreement.max_solution_dev,
         agreement.max_kkt_residual,
-        ok.dim,
-        ok.naive_ns,
-        ok.unrolled_ns,
-        ok.speedup,
-        ok.max_rel_dev,
         full_loop / PREWORK_FULL_LOOP_SERVER_TICKS_PER_SEC,
         sub.prework_ns_per_tick,
         sub.soa_ns_per_tick,

@@ -5,11 +5,11 @@
 //!
 //! * [`linalg`] — small dense matrices, Cholesky solves, spectral-radius
 //!   estimation.
-//! * [`qp`] — box-constrained convex QP: accelerated projected gradient
-//!   plus a coordinate-descent reference solver, certified by the
-//!   projected-KKT residual.
+//! * [`qp`] — dense box-constrained convex QP: accelerated projected
+//!   gradient (the MPC's dense oracle) plus a coordinate-descent
+//!   reference solver, certified by the projected-KKT residual.
 //! * [`qp_structured`] — O(n) solver for the diagonal-plus-rank-one
-//!   blocks the MPC cost actually has; the production hot path.
+//!   blocks the MPC cost actually has; the only path the MPC runs.
 //! * [`mpc`] — the Model Predictive Controller of §V-B: Eq. (7) reference
 //!   trajectory, Eq. (8) cost, Eq. (9) box constraints, per-channel
 //!   progress weights.
@@ -37,7 +37,7 @@ pub mod stability;
 pub use estimator::{GainEstimator, Rls};
 pub use kalman::Kalman1d;
 pub use linalg::Mat;
-pub use mpc::{MpcBackend, MpcConfig, MpcController, MpcDecision};
+pub use mpc::{MpcConfig, MpcController, MpcDecision};
 pub use pid::{Pid, PidConfig};
 pub use qp::{QpProblem, QpSolution};
 pub use qp_structured::{solve_blocks_into, solve_blocks_into_warm, BlockSolve, RankOneDiagQp};

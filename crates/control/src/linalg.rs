@@ -107,33 +107,6 @@ impl Mat {
         y
     }
 
-    /// Write-into matrix–vector product over the unrolled
-    /// [`dot_unrolled`] kernel: no allocation, four independent
-    /// accumulators per row so the compiler can keep the dot product in
-    /// SIMD lanes. Numerically equivalent to [`Mat::matvec`] but *not*
-    /// bit-identical (the accumulation order differs) — use it on
-    /// tolerance-compared paths (the `DenseFista` oracle), never on
-    /// digest-frozen ones (the estimator pipeline stays on `matvec`).
-    pub fn matvec_into(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(self.cols, x.len(), "matvec shape mismatch");
-        assert_eq!(self.rows, y.len(), "matvec output shape mismatch");
-        for (yi, row) in y.iter_mut().zip(self.data.chunks_exact(self.cols)) {
-            *yi = dot_unrolled(row, x);
-        }
-    }
-
-    /// Write-into transposed product over the unrolled [`axpy_unrolled`]
-    /// kernel; the transpose analogue of [`Mat::matvec_into`] with the
-    /// same tolerance-only equivalence caveat versus [`Mat::matvec_t`].
-    pub fn matvec_t_into(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(self.rows, x.len(), "matvec_t shape mismatch");
-        assert_eq!(self.cols, y.len(), "matvec_t output shape mismatch");
-        y.fill(0.0);
-        for (xi, row) in x.iter().zip(self.data.chunks_exact(self.cols)) {
-            axpy_unrolled(*xi, row, y);
-        }
-    }
-
     pub fn scale(&self, s: f64) -> Mat {
         Mat {
             rows: self.rows,
@@ -322,47 +295,6 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
-/// Dot product with four independent accumulators. Breaking the serial
-/// add chain lets the compiler vectorize and the CPU pipeline the FMAs
-/// — worth ~2–4× on the MPC-sized rows the dense oracle multiplies.
-/// Not bit-identical to [`dot`] (different accumulation order).
-pub fn dot_unrolled(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "dot shape mismatch");
-    let mut qa = a.chunks_exact(4);
-    let mut qb = b.chunks_exact(4);
-    let (mut s0, mut s1, mut s2, mut s3) = (0.0_f64, 0.0_f64, 0.0_f64, 0.0_f64);
-    for (ca, cb) in (&mut qa).zip(&mut qb) {
-        s0 += ca[0] * cb[0];
-        s1 += ca[1] * cb[1];
-        s2 += ca[2] * cb[2];
-        s3 += ca[3] * cb[3];
-    }
-    let mut s = (s0 + s2) + (s1 + s3);
-    for (x, y) in qa.remainder().iter().zip(qb.remainder()) {
-        s += x * y;
-    }
-    s
-}
-
-/// `y ← y + alpha·x` with a 4-wide unrolled body — the vectorizable
-/// sibling of [`axpy`] (bit-identical here, since axpy has no cross-lane
-/// accumulation; the unroll only removes bounds checks and serializing
-/// loop overhead).
-pub fn axpy_unrolled(alpha: f64, x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "axpy shape mismatch");
-    let mut qx = x.chunks_exact(4);
-    let mut qy = y.chunks_exact_mut(4);
-    for (cx, cy) in (&mut qx).zip(&mut qy) {
-        cy[0] += alpha * cx[0];
-        cy[1] += alpha * cx[1];
-        cy[2] += alpha * cx[2];
-        cy[3] += alpha * cx[3];
-    }
-    for (xi, yi) in qx.remainder().iter().zip(qy.into_remainder()) {
-        *yi += alpha * xi;
-    }
-}
-
 /// `y ← y + alpha·x`.
 pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     assert_eq!(x.len(), y.len(), "axpy shape mismatch");
@@ -489,48 +421,6 @@ mod tests {
         assert_eq!(y, vec![3.0, -1.0]);
         assert!((norm2(&[3.0, 4.0]) - 5.0).abs() < 1e-12);
         assert_eq!(norm_inf(&[1.0, -7.0, 3.0]), 7.0);
-    }
-
-    #[test]
-    fn unrolled_kernels_match_naive_within_fp_tolerance() {
-        // Deterministic awkward sizes: exercise the 4-chunk body and
-        // every remainder length 0..=3.
-        for n in [1usize, 3, 4, 5, 8, 11, 16, 19] {
-            let m = 7;
-            let mut a = Mat::zeros(m, n);
-            for i in 0..m {
-                for j in 0..n {
-                    a[(i, j)] = ((i * n + j) as f64 * 0.7).sin() * 3.0;
-                }
-            }
-            let x: Vec<f64> = (0..n).map(|j| ((j as f64) * 1.3).cos() * 2.0).collect();
-            let xt: Vec<f64> = (0..m).map(|i| ((i as f64) * 0.4).sin() - 0.5).collect();
-
-            let naive = a.matvec(&x);
-            let mut fast = vec![0.0; m];
-            a.matvec_into(&x, &mut fast);
-            for (u, v) in naive.iter().zip(&fast) {
-                assert!((u - v).abs() <= 1e-12 * (1.0 + u.abs()), "{u} vs {v}");
-            }
-
-            let naive_t = a.matvec_t(&xt);
-            let mut fast_t = vec![0.0; n];
-            a.matvec_t_into(&xt, &mut fast_t);
-            for (u, v) in naive_t.iter().zip(&fast_t) {
-                assert!((u - v).abs() <= 1e-12 * (1.0 + u.abs()), "{u} vs {v}");
-            }
-
-            assert!(
-                (dot_unrolled(&x, &x) - dot(&x, &x)).abs() <= 1e-12 * (1.0 + dot(&x, &x).abs())
-            );
-            let mut y1: Vec<f64> = (0..n).map(|j| j as f64 * 0.1).collect();
-            let mut y2 = y1.clone();
-            axpy(1.7, &x, &mut y1);
-            axpy_unrolled(1.7, &x, &mut y2);
-            for (u, v) in y1.iter().zip(&y2) {
-                assert_eq!(u.to_bits(), v.to_bits(), "axpy unroll must be exact");
-            }
-        }
     }
 
     #[test]

@@ -14,38 +14,25 @@
 //! the *measured* feedback power, so model error is corrected every
 //! period. The decision variables are the planned absolute frequencies
 //! `y_{j,n}` (rather than the increments), which turns Eq. (9) into plain
-//! box constraints and the whole problem into the box QP of
-//! [`crate::qp`].
+//! box constraints and the whole problem into a box QP whose Hessian is
+//! block-diagonal with diagonal-plus-rank-one blocks.
+//! [`MpcController::compute`] solves it in that structured form
+//! ([`crate::qp_structured`]); [`MpcController::dense_reference`] solves
+//! the same problem in dense form ([`crate::qp`]) as the oracle of the
+//! agreement checks.
 //!
 //! The penalty weights `Rⱼ` implement the paper's progress balancing: a
 //! batch job that is behind (large `R`) is expensive to hold below peak
 //! frequency, so the optimizer throttles the jobs that can afford it.
 
 use crate::linalg::Mat;
-use crate::qp::{QpProblem, QpSolution, QpWorkspace};
+use crate::qp::{QpProblem, QpSolution};
 use crate::qp_structured::solve_blocks_into_warm;
 
-/// Which QP machinery [`MpcController::compute`] runs each period.
-///
-/// Both backends minimize the same Eq. (8) cost over the same Eq. (9)
-/// box; they agree to well under 1e-6 in solution and KKT residual (the
-/// `bench_engine` agreement gate and the closed-loop tests enforce it).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MpcBackend {
-    /// Exploit the block-separable diagonal-plus-rank-one structure of
-    /// the Eq. (8) Hessian: per-block scalars assembled directly (no
-    /// dense matrix is ever built) and each block solved by the O(n)
-    /// root find of [`crate::qp_structured`]. The production default —
-    /// a control period costs O(n·Lc) instead of O((n·Lc)²) per FISTA
-    /// iteration.
-    #[default]
-    Structured,
-    /// Materialize the dense Hessian and run FISTA
-    /// ([`QpProblem::solve_with`]). Kept as the cross-validation
-    /// reference and for problems whose structure assumptions break
-    /// (e.g. a degenerate `r_scale = 0` penalty).
-    DenseFista,
-}
+/// Floor applied to the progress weights `Rⱼ` so a job that is far ahead
+/// still carries some peak-pull (and the per-block diagonal stays
+/// positive whenever `r_scale > 0`).
+const R_FLOOR: f64 = 0.05;
 
 /// Tracking-step count feeding control block `b`: blocks before the last
 /// feed exactly one prediction step; the last block holds for the rest of
@@ -103,14 +90,26 @@ impl MpcConfig {
         }
     }
 
-    fn validate(&self) {
-        assert!(self.lp >= 1, "prediction horizon must be at least 1");
-        assert!(
-            (1..=self.lp).contains(&self.lc),
-            "control horizon must be in [1, Lp]"
-        );
-        assert!(self.tau_r > 0.0 && self.period > 0.0);
-        assert!(self.q > 0.0 && self.r_scale >= 0.0);
+    /// Check the horizons and weights, naming the first violated rule.
+    /// [`MpcController::new`] panics on an `Err`; configuration layers
+    /// call this first to turn a bad config into a typed error.
+    pub fn check(&self) -> Result<(), &'static str> {
+        if self.lp < 1 {
+            return Err("prediction horizon must be at least 1");
+        }
+        if !(1..=self.lp).contains(&self.lc) {
+            return Err("control horizon must be in [1, Lp]");
+        }
+        if !(self.tau_r > 0.0 && self.period > 0.0) {
+            return Err("tau_r and period must be positive");
+        }
+        if self.q.is_nan() || self.q <= 0.0 {
+            return Err("tracking weight q must be positive");
+        }
+        if self.r_scale.is_nan() || self.r_scale < 0.0 {
+            return Err("r_scale must be non-negative");
+        }
+        Ok(())
     }
 }
 
@@ -122,28 +121,19 @@ pub struct MpcController {
     /// frequency), from the linear model of Eq. (2)/(3).
     gains: Vec<f64>,
     /// Per-channel frequency ceiling (Eq. (9)); the floor lives only in
-    /// the prebuilt QP box bounds.
+    /// the box bounds `lo`.
     fmax: Vec<f64>,
     /// Per-channel penalty weights `Rⱼ` (progress balancing, §V-B).
     r: Vec<f64>,
-    /// Floor applied to `Rⱼ` to keep the Hessian positive definite.
-    pub r_floor: f64,
-    /// Preallocated QP instance: `H`/`g` are rebuilt in place every
-    /// control period, `lo`/`hi` are the box bounds replicated per block
-    /// and never change. Reusing it removes the per-period `Mat::zeros`
-    /// (512 KiB at 128 channels × 2 blocks) and bound-vector churn. The
-    /// structured backend only reads its `lo`/`hi`.
-    qp: QpProblem,
-    /// Preallocated FISTA iteration buffers, reused across periods
-    /// (dense backend only).
-    ws: QpWorkspace,
-    /// Which solver `compute` runs.
-    backend: MpcBackend,
+    /// Box bounds (Eq. (9)) replicated per control block; fixed for the
+    /// controller's lifetime.
+    lo: Vec<f64>,
+    hi: Vec<f64>,
     /// Preallocated structured-assembly buffers, reused across periods.
     sb: StructuredBuffers,
 }
 
-/// Scratch for the structured backend: the per-block coupling scalars
+/// Scratch for the structured solve: the per-block coupling scalars
 /// plus the diagonal/linear terms and solution over the full `n·Lc`
 /// decision vector. Sized once at construction; the hot path rebuilds
 /// them in place.
@@ -177,20 +167,10 @@ pub struct MpcDecision {
 }
 
 impl MpcController {
-    /// Build a controller on the default [`MpcBackend::Structured`]
-    /// solver.
     pub fn new(cfg: MpcConfig, gains: Vec<f64>, fmin: Vec<f64>, fmax: Vec<f64>) -> Self {
-        Self::with_backend(cfg, gains, fmin, fmax, MpcBackend::default())
-    }
-
-    pub fn with_backend(
-        cfg: MpcConfig,
-        gains: Vec<f64>,
-        fmin: Vec<f64>,
-        fmax: Vec<f64>,
-        backend: MpcBackend,
-    ) -> Self {
-        cfg.validate();
+        if let Err(what) = cfg.check() {
+            panic!("{what}");
+        }
         let n = gains.len();
         assert!(n > 0, "controller needs at least one channel");
         assert!(fmin.len() == n && fmax.len() == n, "bound shape mismatch");
@@ -199,8 +179,6 @@ impl MpcController {
             fmin.iter().zip(&fmax).all(|(a, b)| a <= b),
             "fmin must not exceed fmax"
         );
-        // Box constraints (Eq. (9)) replicated per control block — fixed
-        // for the controller's lifetime, so build them once.
         let dim = n * cfg.lc;
         let mut lo = Vec::with_capacity(dim);
         let mut hi = Vec::with_capacity(dim);
@@ -208,16 +186,13 @@ impl MpcController {
             lo.extend_from_slice(&fmin);
             hi.extend_from_slice(&fmax);
         }
-        let qp = QpProblem::new(Mat::zeros(dim, dim), vec![0.0; dim], lo, hi);
         MpcController {
             cfg,
             gains,
             fmax,
             r: vec![1.0; n],
-            r_floor: 0.05,
-            qp,
-            ws: QpWorkspace::new(dim),
-            backend,
+            lo,
+            hi,
             sb: StructuredBuffers {
                 c: vec![0.0; cfg.lc],
                 d: vec![0.0; dim],
@@ -226,16 +201,6 @@ impl MpcController {
                 warm_u: vec![f64::NAN; cfg.lc],
             },
         }
-    }
-
-    pub fn backend(&self) -> MpcBackend {
-        self.backend
-    }
-
-    /// Switch solvers in place (state is per-period, so this is safe at
-    /// any period boundary).
-    pub fn set_backend(&mut self, backend: MpcBackend) {
-        self.backend = backend;
     }
 
     pub fn num_channels(&self) -> usize {
@@ -270,21 +235,16 @@ impl MpcController {
     /// (Eq. (6)), set point `target` (`P_batch`), current channel
     /// frequencies `f_now`.
     ///
-    /// Steady-state hot path: both backends rebuild their problem data in
-    /// place inside preallocated buffers, so a control period performs no
-    /// matrix or iteration-buffer allocation (only the returned
-    /// decision's two small `Vec`s are fresh). The structured default
-    /// never materializes a Hessian at all — total per-period cost is
-    /// O(n·Lc) assembly plus an O(n) root find per block, against the
-    /// dense path's O((n·Lc)²) assembly and per-iteration matvecs.
+    /// Steady-state hot path: the problem data are rebuilt in place
+    /// inside preallocated buffers and no Hessian is ever materialized,
+    /// so a control period costs O(n·Lc) assembly plus an O(n) root find
+    /// per block and allocates only the returned decision's two small
+    /// `Vec`s.
     pub fn compute(&mut self, p_fb: f64, target: f64, f_now: &[f64]) -> MpcDecision {
         let _timer = telemetry::span("mpc_compute");
         let n = self.num_channels();
         assert_eq!(f_now.len(), n);
-        let qp = match self.backend {
-            MpcBackend::Structured => self.solve_structured(p_fb, target, f_now),
-            MpcBackend::DenseFista => self.solve_dense(p_fb, target, f_now),
-        };
+        let qp = self.solve_structured(p_fb, target, f_now);
         telemetry::histogram_observe("mpc_solve_iters", qp.iterations as f64);
         if !qp.converged {
             telemetry::counter_add("mpc_qp_fallback", 1);
@@ -304,7 +264,7 @@ impl MpcController {
         }
     }
 
-    /// Structured hot path: assemble the Eq. (8) cost directly in its
+    /// Assemble the Eq. (8) cost directly in its
     /// block-separable diagonal-plus-rank-one form — per-block coupling
     /// scalar `c_b`, shared gain vector `k`, diagonal `d`, linear `g` —
     /// and solve each block with the O(n) root find of
@@ -337,12 +297,12 @@ impl MpcController {
 
         // Control-penalty terms: r_j·(y_{j,b} − fmax_j)² per block,
         // horizon-balanced by the share of tracking steps the block
-        // feeds (see the dense path for why) — these are exactly the
+        // feeds (see `dense_problem` for why) — these are exactly the
         // diagonal d and the peak-pull part of g.
         for b in 0..lc {
             let share = steps_fed(lp, lc, b) as f64 / lp as f64;
             for j in 0..n {
-                let rj = self.cfg.r_scale * self.r[j].max(self.r_floor) * share;
+                let rj = self.cfg.r_scale * self.r[j].max(R_FLOOR) * share;
                 sb.d[b * n + j] = 2.0 * rj;
                 sb.g[b * n + j] += -2.0 * rj * self.fmax[j];
             }
@@ -353,8 +313,8 @@ impl MpcController {
             &self.gains,
             &sb.d,
             &sb.g,
-            &self.qp.lo,
-            &self.qp.hi,
+            &self.lo,
+            &self.hi,
             &mut sb.x,
             1e-7,
             200,
@@ -370,36 +330,28 @@ impl MpcController {
         sol
     }
 
-    /// Dense reference path: materialize the Eq. (8) Hessian in the
-    /// preallocated [`QpProblem`] and run FISTA in the controller's
-    /// [`QpWorkspace`]. Kept for cross-validation against the structured
-    /// backend (and for degenerate penalty configurations).
-    fn solve_dense(&mut self, p_fb: f64, target: f64, f_now: &[f64]) -> QpSolution {
+    /// The same period's Eq. (8) problem in dense form: the full
+    /// `(n·Lc)²` Hessian, linear term and Eq. (9) box. This is the
+    /// textbook statement of the cost that `compute` solves in structured
+    /// form; [`Self::dense_reference`] solves it, and the unit tests also
+    /// evaluate its objective and KKT residual at `compute`'s answer.
+    pub(crate) fn dense_problem(&self, p_fb: f64, target: f64, f_now: &[f64]) -> QpProblem {
         let n = self.num_channels();
+        assert_eq!(f_now.len(), n);
         let (lp, lc) = (self.cfg.lp, self.cfg.lc);
-
-        // Only the lc diagonal n×n blocks of H are ever touched (tracking
-        // couples channels within a block, never across blocks), so only
-        // those entries need re-zeroing.
-        let h = &mut self.qp.h;
-        let g = &mut self.qp.g;
-        g.fill(0.0);
-        for b in 0..lc {
-            for j in 0..n {
-                for i in 0..n {
-                    h[(b * n + j, b * n + i)] = 0.0;
-                }
-            }
-        }
+        let dim = n * lc;
+        let mut h = Mat::zeros(dim, dim);
+        let mut g = vec![0.0; dim];
 
         // Tracking terms: q·(kᵀ y_b − b_n)² with
-        // b_n = p_r(n) − p_fb + kᵀ f_now.
+        // b_n = p_r(n) − p_fb + kᵀ f_now. Tracking couples channels
+        // within a block, never across blocks.
         let kf: f64 = self.gains.iter().zip(f_now).map(|(k, f)| k * f).sum();
+        let q = self.cfg.q;
         for step in 1..=lp {
             let b = step.min(lc) - 1; // control block feeding this step
             let reference = reference_at(target, p_fb, step, self.cfg.period, self.cfg.tau_r);
             let bn = reference - p_fb + kf;
-            let q = self.cfg.q;
             for j in 0..n {
                 let kj = self.gains[j];
                 g[b * n + j] += -2.0 * q * bn * kj;
@@ -418,13 +370,21 @@ impl MpcController {
         for b in 0..lc {
             let share = steps_fed(lp, lc, b) as f64 / lp as f64;
             for j in 0..n {
-                let rj = self.cfg.r_scale * self.r[j].max(self.r_floor) * share;
+                let rj = self.cfg.r_scale * self.r[j].max(R_FLOOR) * share;
                 h[(b * n + j, b * n + j)] += 2.0 * rj;
                 g[b * n + j] += -2.0 * rj * self.fmax[j];
             }
         }
+        QpProblem::new(h, g, self.lo.clone(), self.hi.clone())
+    }
 
-        self.qp.solve_with(&mut self.ws, 1e-7, 2_000)
+    /// Solve the period's dense Eq. (8) problem with dense FISTA
+    /// ([`QpProblem::solve`]): the named oracle the agreement gates
+    /// compare `compute` against. Holds no state and is never reached
+    /// from `compute`; it costs O((n·Lc)²) per FISTA iteration, so it
+    /// belongs in checks, not on the control path.
+    pub fn dense_reference(&self, p_fb: f64, target: f64, f_now: &[f64]) -> QpSolution {
+        self.dense_problem(p_fb, target, f_now).solve(1e-7, 2_000)
     }
 }
 
@@ -616,59 +576,97 @@ mod tests {
         assert!(moved < 0.2, "moved {moved}");
     }
 
+    /// Check `compute`'s decision against the dense statement of the
+    /// same period: it must be KKT-certified on the dense problem too,
+    /// and its objective must be no worse than the dense oracle's.
+    /// Returns the oracle's solution for further comparison.
+    fn check_against_dense(
+        ctrl: &MpcController,
+        d: &MpcDecision,
+        p_fb: f64,
+        target: f64,
+        f_now: &[f64],
+    ) -> QpSolution {
+        assert!(d.qp.converged && d.qp.kkt_residual < 1e-6);
+        let problem = ctrl.dense_problem(p_fb, target, f_now);
+        let kkt = problem.kkt_residual(&d.qp.x);
+        assert!(kkt < 1e-6, "dense KKT residual {kkt}");
+        let oracle = ctrl.dense_reference(p_fb, target, f_now);
+        let (ours, theirs) = (problem.objective(&d.qp.x), problem.objective(&oracle.x));
+        assert!(
+            ours <= theirs + 1e-9 * theirs.abs().max(1.0),
+            "objective {ours} vs oracle {theirs}"
+        );
+        oracle
+    }
+
     #[test]
-    fn backends_agree_on_single_periods() {
-        // Same inputs through both solvers: full decision vectors within
-        // 1e-6 and both KKT-certified.
-        let mk = |backend| {
-            MpcController::with_backend(
-                MpcConfig::paper_default(),
-                vec![15.0; 6],
-                vec![0.2; 6],
-                vec![1.0; 6],
-                backend,
-            )
-        };
-        let mut structured = mk(MpcBackend::Structured);
-        let mut dense = mk(MpcBackend::DenseFista);
-        assert_eq!(structured.backend(), MpcBackend::Structured);
+    fn compute_matches_dense_reference_on_single_periods() {
+        // Well-conditioned periods: the oracle converges too, and the
+        // unique optimum pins the full decision vectors within 1e-6.
+        let mut ctrl = controller(6);
+        let f_now = [0.5; 6];
         for &(p_fb, target) in &[(0.0, 500.0), (500.0, 0.0), (60.0, 60.0), (30.0, 90.0)] {
-            let a = structured.compute(p_fb, target, &[0.5; 6]);
-            let b = dense.compute(p_fb, target, &[0.5; 6]);
-            assert!(a.qp.converged && b.qp.converged);
-            assert!(a.qp.kkt_residual < 1e-6 && b.qp.kkt_residual < 1e-6);
-            for (x, y) in a.qp.x.iter().zip(&b.qp.x) {
+            let d = ctrl.compute(p_fb, target, &f_now);
+            let oracle = check_against_dense(&ctrl, &d, p_fb, target, &f_now);
+            assert!(oracle.converged && oracle.kkt_residual < 1e-6);
+            for (x, y) in d.qp.x.iter().zip(&oracle.x) {
                 assert!((x - y).abs() < 1e-6, "{x} vs {y}");
             }
         }
     }
 
     #[test]
-    fn backends_track_the_same_closed_loop_trajectory() {
-        // Run the toy plant under each backend independently; the power
-        // trajectories must stay together for the whole run (per-period
-        // solver deviation is ≤ 1e-6 and the loop is contractive, so
-        // differences must not accumulate).
-        let run = |backend| {
-            let mut ctrl = MpcController::with_backend(
-                MpcConfig::paper_default(),
-                vec![15.0; 4],
-                vec![0.2; 4],
-                vec![1.0; 4],
-                backend,
-            );
-            ctrl.set_penalty_weights(&[2.0, 1.0, 0.3, 0.1]);
-            let mut plant = Plant {
-                k: vec![17.0; 4], // deliberate model error
-                base: 10.0,
-                f: vec![1.0; 4],
-            };
-            run_loop(&mut ctrl, &mut plant, 45.0, 60)
+    fn compute_matches_dense_reference_every_closed_loop_period() {
+        // Uneven progress weights and a deliberate model error, so the
+        // loop visits interior, pinned and warm-started periods. The
+        // light weights make some periods ill-conditioned enough that
+        // the oracle's FISTA stops short of its tolerance, so every
+        // period is checked by certificate and objective rather than by
+        // the oracle's x.
+        let mut ctrl = controller(4);
+        ctrl.set_penalty_weights(&[2.0, 1.0, 0.3, 0.1]);
+        let mut plant = Plant {
+            k: vec![17.0; 4],
+            base: 10.0,
+            f: vec![1.0; 4],
         };
-        let hs = run(MpcBackend::Structured);
-        let hd = run(MpcBackend::DenseFista);
-        for (i, (a, b)) in hs.iter().zip(&hd).enumerate() {
-            assert!((a - b).abs() < 1e-3, "step {i}: {a} vs {b}");
+        for _ in 0..60 {
+            let p = plant.power();
+            let d = ctrl.compute(p, 45.0, &plant.f);
+            check_against_dense(&ctrl, &d, p, 45.0, &plant.f);
+            plant.f = d.freqs;
+        }
+    }
+
+    #[test]
+    fn zero_penalty_is_solved_exactly() {
+        // r_scale = 0 leaves every block a pure rank-one coupling (d = 0),
+        // so the optimal x is not unique: compare dense objectives, and
+        // require the structured answer to be KKT-certified.
+        for n in [4, 64] {
+            for lc in [2, 4] {
+                let cfg = MpcConfig {
+                    lc,
+                    r_scale: 0.0,
+                    ..MpcConfig::paper_default()
+                };
+                let mut ctrl = MpcController::new(cfg, vec![15.0; n], vec![0.2; n], vec![1.0; n]);
+                for &(p_fb, target) in &[(60.0, 60.0), (30.0, 90.0)] {
+                    let f_now = vec![0.5; n];
+                    let d = ctrl.compute(p_fb, target, &f_now);
+                    let tag = format!("n={n} lc={lc} p_fb={p_fb} target={target}");
+                    assert!(d.qp.converged, "{tag}");
+                    assert!(d.qp.kkt_residual < 1e-6, "{tag}: kkt={}", d.qp.kkt_residual);
+                    let problem = ctrl.dense_problem(p_fb, target, &f_now);
+                    let oracle = ctrl.dense_reference(p_fb, target, &f_now);
+                    let (ours, best) = (problem.objective(&d.qp.x), problem.objective(&oracle.x));
+                    assert!(
+                        (ours - best).abs() <= 1e-6 * best.abs().max(1.0),
+                        "{tag}: objective {ours} vs oracle {best}"
+                    );
+                }
+            }
         }
     }
 
@@ -685,18 +683,6 @@ mod tests {
         assert!(d1.qp.kkt_residual < 1e-6);
         for (a, b) in d0.freqs.iter().zip(&d1.freqs) {
             assert!((a - b).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn set_backend_switches_in_place() {
-        let mut ctrl = controller(3);
-        let a = ctrl.compute(30.0, 60.0, &[0.5; 3]);
-        ctrl.set_backend(MpcBackend::DenseFista);
-        assert_eq!(ctrl.backend(), MpcBackend::DenseFista);
-        let b = ctrl.compute(30.0, 60.0, &[0.5; 3]);
-        for (x, y) in a.freqs.iter().zip(&b.freqs) {
-            assert!((x - y).abs() < 1e-6);
         }
     }
 

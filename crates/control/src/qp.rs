@@ -6,24 +6,17 @@
 //! minimize   ½·xᵀHx + gᵀx      subject to   lo ≤ x ≤ hi
 //! ```
 //!
-//! with `H` symmetric positive definite. Two independent solvers live
-//! here:
+//! with `H` symmetric positive definite. The MPC itself never builds
+//! this dense form — its hot path is the structured solver of
+//! [`crate::qp_structured`] — so the solvers here are references:
 //!
-//! * [`QpProblem::solve_with`] — accelerated projected gradient (FISTA
-//!   with adaptive restart) running entirely inside a caller-provided
-//!   [`QpWorkspace`]; the production hot path, O(n²) per iteration and
-//!   **zero allocations per iteration** (the MPC reuses one workspace
-//!   across control periods).
-//! * [`QpProblem::solve`] — the same algorithm with per-call (and
-//!   per-iteration) allocations; kept as the readable reference
-//!   implementation and the "before" side of the `bench_engine`
-//!   comparison. Bit-identical to `solve_with` by construction (the
-//!   workspace path mirrors its operation order exactly; a test below
-//!   asserts equality down to the last bit).
+//! * [`QpProblem::solve`] — accelerated projected gradient (FISTA with
+//!   adaptive restart), O(n²) per iteration. The dense Eq. (8) oracle
+//!   ([`crate::mpc::MpcController::dense_reference`]) runs it.
 //! * [`QpProblem::solve_coordinate_descent`] — cyclic exact coordinate
 //!   minimization; slower convergence per sweep but extremely robust.
-//!   Kept as a cross-validation reference (property tests assert the two
-//!   agree).
+//!   Kept as an independent cross-validation reference (property tests
+//!   assert the two agree).
 //!
 //! Optimality is certified by the projected-KKT residual
 //! `‖x − Π(x − ∇q(x))‖∞`, which is zero exactly at the constrained
@@ -55,62 +48,15 @@ pub struct QpSolution {
 }
 
 /// Record a finished solve into the active telemetry collector (if any):
-/// iteration histogram plus total/non-converged counters. Shared with the
-/// structured backend in [`crate::qp_structured`] via the MPC, so
-/// `qp_solve_total` keeps counting every real solve regardless of path.
+/// iteration histogram plus total/non-converged counters. The MPC's
+/// structured solve records through here too, so `qp_solve_total` counts
+/// every solve whichever solver ran it.
 pub(crate) fn record_solve(sol: &QpSolution) {
     telemetry::counter_add("qp_solve_total", 1);
     telemetry::histogram_observe("qp_solve_iters", sol.iterations as f64);
     if !sol.converged {
         telemetry::counter_add("qp_solve_nonconverged", 1);
     }
-}
-
-/// Reusable scratch buffers for [`QpProblem::solve_with`]. Create once
-/// (per controller), reuse across solves: after the first call at a given
-/// dimension no further allocation happens, which is what removes the
-/// per-control-period `Vec` churn from the MPC hot path.
-#[derive(Debug, Clone, Default)]
-pub struct QpWorkspace {
-    x: Vec<f64>,
-    y: Vec<f64>,
-    x_next: Vec<f64>,
-    grad: Vec<f64>,
-    /// `H·x` scratch for objective evaluations.
-    hx: Vec<f64>,
-    /// Projected-step scratch for KKT residuals.
-    moved: Vec<f64>,
-}
-
-impl QpWorkspace {
-    pub fn new(dim: usize) -> Self {
-        let mut ws = QpWorkspace::default();
-        ws.ensure(dim);
-        ws
-    }
-
-    /// Resize every buffer to `dim` (no-op once sized).
-    fn ensure(&mut self, dim: usize) {
-        for buf in [
-            &mut self.x,
-            &mut self.y,
-            &mut self.x_next,
-            &mut self.grad,
-            &mut self.hx,
-            &mut self.moved,
-        ] {
-            buf.resize(dim, 0.0);
-        }
-    }
-}
-
-/// `out = H·v` without allocating, over the unrolled 4-accumulator
-/// kernel ([`Mat::matvec_into`]). Every Hessian product in this module
-/// — `solve`, `solve_with`, and the public objective/gradient/residual
-/// helpers — goes through here, so the reference and workspace paths
-/// share one accumulation order and stay bit-identical to each other.
-fn matvec_into(h: &Mat, v: &[f64], out: &mut [f64]) {
-    h.matvec_into(v, out);
 }
 
 impl QpProblem {
@@ -131,15 +77,13 @@ impl QpProblem {
 
     /// Objective value `½xᵀHx + gᵀx`.
     pub fn objective(&self, x: &[f64]) -> f64 {
-        let mut hx = vec![0.0; self.h.rows()];
-        matvec_into(&self.h, x, &mut hx);
+        let hx = self.h.matvec(x);
         0.5 * crate::linalg::dot(x, &hx) + crate::linalg::dot(&self.g, x)
     }
 
     /// Gradient `Hx + g`.
     pub fn gradient(&self, x: &[f64]) -> Vec<f64> {
-        let mut grad = vec![0.0; self.h.rows()];
-        matvec_into(&self.h, x, &mut grad);
+        let mut grad = self.h.matvec(x);
         for (gi, g0) in grad.iter_mut().zip(&self.g) {
             *gi += g0;
         }
@@ -231,116 +175,6 @@ impl QpProblem {
             kkt_residual: res,
             iterations: max_iters,
             x,
-        };
-        record_solve(&sol);
-        sol
-    }
-
-    /// Objective `½xᵀHx + gᵀx` evaluated through the workspace's `hx`
-    /// scratch — same accumulation order as [`QpProblem::objective`].
-    fn objective_ws(&self, x: &[f64], hx: &mut [f64]) -> f64 {
-        matvec_into(&self.h, x, hx);
-        0.5 * crate::linalg::dot(x, hx) + crate::linalg::dot(&self.g, x)
-    }
-
-    /// Projected-KKT residual through workspace buffers — same math and
-    /// operation order as [`QpProblem::kkt_residual`].
-    fn kkt_residual_ws(&self, x: &[f64], grad: &mut [f64], moved: &mut [f64]) -> f64 {
-        matvec_into(&self.h, x, grad);
-        for (gi, g0) in grad.iter_mut().zip(&self.g) {
-            *gi += g0;
-        }
-        for ((m, xi), gi) in moved.iter_mut().zip(x).zip(grad.iter()) {
-            *m = xi - gi;
-        }
-        for ((m, lo), hi) in moved.iter_mut().zip(&self.lo).zip(&self.hi) {
-            *m = m.clamp(*lo, *hi);
-        }
-        let mut res = 0.0_f64;
-        for (xi, m) in x.iter().zip(moved.iter()) {
-            res = res.max((xi - m).abs());
-        }
-        res
-    }
-
-    /// Accelerated projected-gradient solve running entirely inside `ws`:
-    /// the production hot path. Identical algorithm, operation order and
-    /// therefore **bit-identical results** to [`QpProblem::solve`], but
-    /// with zero allocations per iteration and none at all once `ws` has
-    /// been sized (only the returned [`QpSolution::x`] is a fresh `Vec`).
-    pub fn solve_with(&self, ws: &mut QpWorkspace, tol: f64, max_iters: usize) -> QpSolution {
-        let _timer = telemetry::span("qp_solve_time");
-        let dim = self.dim();
-        ws.ensure(dim);
-        let step = 1.0 / self.lipschitz_bound();
-        // Same feasible start as `solve`: the box midpoint.
-        for ((xi, l), u) in ws.x.iter_mut().zip(&self.lo).zip(&self.hi) {
-            *xi = 0.5 * (l + u);
-        }
-        ws.y.copy_from_slice(&ws.x);
-        let mut t = 1.0_f64;
-        let mut last_obj = {
-            let (x, hx) = (&ws.x, &mut ws.hx);
-            self.objective_ws(x, hx)
-        };
-        for iter in 1..=max_iters {
-            // grad ← ∇q(y) = H·y + g
-            matvec_into(&self.h, &ws.y, &mut ws.grad);
-            for (gi, g0) in ws.grad.iter_mut().zip(&self.g) {
-                *gi += g0;
-            }
-            // x_next ← Π(y − step·grad)
-            for ((xn, yi), gi) in ws.x_next.iter_mut().zip(&ws.y).zip(&ws.grad) {
-                *xn = yi - step * gi;
-            }
-            for ((xn, lo), hi) in ws.x_next.iter_mut().zip(&self.lo).zip(&self.hi) {
-                *xn = xn.clamp(*lo, *hi);
-            }
-            let t_next = 0.5 * (1.0 + (1.0 + 4.0 * t * t).sqrt());
-            let beta = (t - 1.0) / t_next;
-            // y ← x_next + β(x_next − x)
-            for ((yi, xn), xo) in ws.y.iter_mut().zip(&ws.x_next).zip(&ws.x) {
-                *yi = xn + beta * (xn - xo);
-            }
-            // x ← x_next (buffer swap; old x is dead scratch next round)
-            std::mem::swap(&mut ws.x, &mut ws.x_next);
-            t = t_next;
-            // Adaptive restart on objective increase (O'Donoghue–Candès).
-            let obj = {
-                let (x, hx) = (&ws.x, &mut ws.hx);
-                self.objective_ws(x, hx)
-            };
-            if obj > last_obj {
-                ws.y.copy_from_slice(&ws.x);
-                t = 1.0;
-            }
-            last_obj = obj;
-            if iter % 8 == 0 {
-                let res = {
-                    let QpWorkspace { x, grad, moved, .. } = ws;
-                    self.kkt_residual_ws(x, grad, moved)
-                };
-                if res < tol {
-                    let sol = QpSolution {
-                        x: ws.x.clone(),
-                        kkt_residual: res,
-                        iterations: iter,
-                        converged: true,
-                    };
-                    record_solve(&sol);
-                    return sol;
-                }
-            }
-        }
-        let res = {
-            let QpWorkspace { x, grad, moved, .. } = ws;
-            self.kkt_residual_ws(x, grad, moved)
-        };
-        let sol = QpSolution {
-            converged: res < tol,
-            kkt_residual: res,
-            iterations: max_iters,
-            x: ws.x.clone(),
         };
         record_solve(&sol);
         sol
@@ -477,46 +311,6 @@ mod tests {
             // Objectives match too.
             assert!((p.objective(&a.x) - p.objective(&b.x)).abs() < 1e-8);
         }
-    }
-
-    #[test]
-    fn workspace_solve_is_bit_identical_to_reference() {
-        // `solve_with` must mirror `solve`'s operation order exactly:
-        // equal down to the last bit, not merely within tolerance. One
-        // shared workspace across problems also proves reuse is safe.
-        let mut ws = QpWorkspace::default();
-        for seed in 0..12 {
-            let n = 2 + (seed as usize % 7);
-            let h = spd(n, seed + 300);
-            let g: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.9).cos() * 5.0).collect();
-            let lo: Vec<f64> = (0..n).map(|i| -1.0 + (i % 2) as f64 * 0.3).collect();
-            let hi: Vec<f64> = (0..n).map(|i| 0.5 + (i % 3) as f64 * 0.4).collect();
-            let p = QpProblem::new(h, g, lo, hi);
-            let a = p.solve(1e-9, 20_000);
-            let b = p.solve_with(&mut ws, 1e-9, 20_000);
-            assert_eq!(a.iterations, b.iterations, "seed={seed}");
-            assert_eq!(a.converged, b.converged, "seed={seed}");
-            assert_eq!(
-                a.kkt_residual.to_bits(),
-                b.kkt_residual.to_bits(),
-                "seed={seed}"
-            );
-            for (x, y) in a.x.iter().zip(&b.x) {
-                assert_eq!(x.to_bits(), y.to_bits(), "seed={seed}: {x} vs {y}");
-            }
-        }
-    }
-
-    #[test]
-    fn workspace_resizes_between_dimensions() {
-        let mut ws = QpWorkspace::new(1);
-        let p4 = QpProblem::new(spd(4, 1), vec![1.0; 4], vec![-1.0; 4], vec![1.0; 4]);
-        let p2 = QpProblem::new(spd(2, 2), vec![1.0; 2], vec![-1.0; 2], vec![1.0; 2]);
-        let a = p4.solve_with(&mut ws, 1e-9, 10_000);
-        let b = p2.solve_with(&mut ws, 1e-9, 10_000);
-        assert!(a.converged && b.converged);
-        assert_eq!(a.x.len(), 4);
-        assert_eq!(b.x.len(), 2);
     }
 
     #[test]

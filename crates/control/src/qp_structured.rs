@@ -40,9 +40,10 @@ use crate::linalg::Mat;
 /// Requirements (checked by [`Self::validate`] / debug asserts): finite
 /// inputs, `c ≥ 0`, `dⱼ ≥ 0` with `dⱼ > 0` wherever the problem must be
 /// strictly convex in `yⱼ`, and `lo ≤ hi` elementwise. `dⱼ = 0` is
-/// tolerated (the coordinate becomes a bang-bang choice between its
-/// bounds), which keeps the solver total even for degenerate penalty
-/// configurations.
+/// tolerated: the coordinate sits on one of its bounds, except at the
+/// coupling value where its coefficient changes sign, where it takes
+/// the fraction that makes `kᵀy = u`. That keeps the solver total and
+/// exact even for a degenerate `r_scale = 0` penalty.
 #[derive(Debug, Clone, Copy)]
 pub struct RankOneDiagQp<'a> {
     /// Rank-one coupling weight (`2q·steps` in the MPC assembly).
@@ -110,18 +111,61 @@ impl<'a> RankOneDiagQp<'a> {
                     slope -= self.c * self.k[j] * self.k[j] / self.d[j];
                     raw
                 }
-            } else if s > 0.0 {
-                // No curvature: the coordinate rides its cheaper bound.
-                self.lo[j]
-            } else if s < 0.0 {
-                self.hi[j]
             } else {
-                0.0_f64.clamp(self.lo[j], self.hi[j])
+                self.bang_bang(j, s)
             };
             *out = yj;
             ky += self.k[j] * yj;
         }
         (ky - u, slope)
+    }
+
+    /// A zero-curvature coordinate (`dⱼ = 0`) at coefficient
+    /// `s = gⱼ + c·u·kⱼ`: it rides its cheaper bound.
+    fn bang_bang(&self, j: usize, s: f64) -> f64 {
+        if s > 0.0 {
+            self.lo[j]
+        } else if s < 0.0 {
+            self.hi[j]
+        } else {
+            0.0_f64.clamp(self.lo[j], self.hi[j])
+        }
+    }
+
+    /// Resolve a φ jump inside a bracket `[a, b]` (`φ(a) ≥ 0 ≥ φ(b)`)
+    /// that has collapsed to machine precision. Zero-curvature
+    /// coordinates that flip bounds inside it are free at the optimum
+    /// (their gradient vanishes at the jump), so they all take one common
+    /// fraction θ between their values at `a` and at `b`, chosen so that
+    /// `kᵀy = u` — the structured analogue of the market's fractional
+    /// marginal bidder. Writes the point into `y` and returns `u`, or
+    /// returns `None` and leaves `y` alone when no coordinate flips.
+    fn split_jump(&self, a: f64, b: f64, y: &mut [f64]) -> Option<f64> {
+        let side = |j: usize, u: f64| self.bang_bang(j, self.g[j] + self.c * u * self.k[j]);
+        let flips = |j: usize| self.d[j] == 0.0 && side(j, a) != side(j, b);
+        if !(0..y.len()).any(&flips) {
+            return None;
+        }
+        let u = 0.5 * (a + b);
+        self.eval(u, y);
+        let (mut fixed, mut ka, mut kb) = (0.0, 0.0, 0.0);
+        for (j, &yj) in y.iter().enumerate() {
+            if flips(j) {
+                ka += self.k[j] * side(j, a);
+                kb += self.k[j] * side(j, b);
+            } else {
+                fixed += self.k[j] * yj;
+            }
+        }
+        // Each flip lowers kⱼyⱼ (it is non-increasing in u), so kb < ka.
+        let theta = ((u - fixed - ka) / (kb - ka)).clamp(0.0, 1.0);
+        for (j, out) in y.iter_mut().enumerate() {
+            if flips(j) {
+                let (ya, yb) = (side(j, a), side(j, b));
+                *out = ya + theta * (yb - ya);
+            }
+        }
+        Some(u)
     }
 
     /// Solve the block into `y` (length `n`). `tol` is the target
@@ -195,9 +239,13 @@ impl<'a> RankOneDiagQp<'a> {
             } else {
                 b = u;
             }
-            // Machine-precision bracket: nothing left to resolve (only
-            // reachable when a zero-diagonal coordinate makes φ jump).
+            // Machine-precision bracket: u is resolved to one ulp. If
+            // zero-diagonal coordinates flip inside it, φ jumps over its
+            // root there and they must share the difference.
             if b - a <= f64::EPSILON * (a.abs().max(b.abs()).max(1.0)) {
+                if let Some(root) = self.split_jump(a, b, y) {
+                    u = root;
+                }
                 converged = true;
                 break;
             }

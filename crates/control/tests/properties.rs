@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use sprint_control::kalman::Kalman1d;
 use sprint_control::linalg::Mat;
-use sprint_control::mpc::{MpcBackend, MpcConfig, MpcController};
+use sprint_control::mpc::{MpcConfig, MpcController};
 use sprint_control::qp::QpProblem;
 use sprint_control::qp_structured::RankOneDiagQp;
 use sprint_control::reference::ExpReference;
@@ -178,27 +178,28 @@ proptest! {
         prop_assert!(err < 3.0 + 0.02 * (hi - lo), "err={err}");
     }
 
-    /// The two MPC backends produce the same decision vector for any
-    /// single control period (random gains, feedback, target, start).
+    /// `compute` and the dense oracle produce the same decision vector
+    /// for any single control period (random gains, feedback, target,
+    /// start).
     #[test]
-    fn mpc_backends_agree_single_period(
+    fn mpc_compute_matches_dense_reference_single_period(
         k in 5.0f64..40.0,
         p_fb in 0.0f64..200.0,
         target in 0.0f64..200.0,
         f in 0.2f64..1.0,
         n in 2usize..6,
     ) {
-        let mk = |backend| MpcController::with_backend(
+        let mut ctrl = MpcController::new(
             MpcConfig::paper_default(),
             vec![k; n],
             vec![0.2; n],
             vec![1.0; n],
-            backend,
         );
-        let da = mk(MpcBackend::Structured).compute(p_fb, target, &vec![f; n]);
-        let db = mk(MpcBackend::DenseFista).compute(p_fb, target, &vec![f; n]);
-        prop_assert!(da.qp.converged && db.qp.converged);
-        for (x, y) in da.qp.x.iter().zip(&db.qp.x) {
+        let f_now = vec![f; n];
+        let d = ctrl.compute(p_fb, target, &f_now);
+        let oracle = ctrl.dense_reference(p_fb, target, &f_now);
+        prop_assert!(d.qp.converged && oracle.converged);
+        for (x, y) in d.qp.x.iter().zip(&oracle.x) {
             prop_assert!((x - y).abs() < 1e-6, "{x} vs {y}");
         }
     }

@@ -13,7 +13,7 @@
 //! The datacenter generalization reuses the same auction shape one and
 //! two levels up: racks bid watts of *overload headroom* against the
 //! shared PDU and feeder edges ([`HeadroomBid`] /
-//! [`allocate_headroom`] / [`allocate_headroom_two_level`]), with the
+//! [`allocate_headroom_two_level_with`]), with the
 //! §IV-C core auction staying the leaf. Both levels keep the leaf's
 //! determinism contract — greedy by value, ties broken by id, the
 //! marginal bidder granted the exact fraction that exhausts the budget
@@ -133,39 +133,15 @@ impl HeadroomBid {
     }
 }
 
-/// Result of one headroom auction round.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HeadroomAllocation {
-    /// Granted watts, in bid input order. `Σ grants ≤ budget` always.
-    pub grants: Vec<Watts>,
-    /// Total watts handed out.
-    pub spent: Watts,
-    /// Bidders that received a positive grant.
-    pub granted: usize,
-}
-
 /// Auction `budget` watts of shared headroom across the bidders: greedy
 /// full grants down the value ranking (ties broken by `id`), with the
 /// marginal bidder receiving the exact fraction that exhausts the
 /// budget. Mirrors [`allocate_power_bids`] with watts as the currency
-/// instead of frequency.
-pub fn allocate_headroom(bids: &[HeadroomBid], budget: Watts) -> HeadroomAllocation {
-    let mut order = Vec::new();
-    let mut grants = Vec::new();
-    let (spent, granted) = allocate_headroom_core(bids, budget, &mut order, &mut grants);
-    HeadroomAllocation {
-        grants,
-        spent,
-        granted,
-    }
-}
-
-/// The single-level greedy auction over caller-owned scratch: `order`
-/// and `grants` are cleared and refilled, never shrunk, so a reused
-/// workspace round allocates nothing once warm. Returns
-/// `(spent, granted)`; the grants land in `grants` in bid input order.
-/// [`allocate_headroom`] is this plus a fresh pair of Vecs, so the
-/// ranking and tie-break semantics are one piece of code, not two.
+/// instead of frequency. Both levels of the two-level round run this
+/// over caller-owned scratch: `order` and `grants` are cleared and
+/// refilled, never shrunk, so a reused workspace round allocates
+/// nothing once warm. Returns `(spent, granted)`; the grants land in
+/// `grants` in bid input order.
 fn allocate_headroom_core(
     bids: &[HeadroomBid],
     budget: Watts,
@@ -209,33 +185,7 @@ fn allocate_headroom_core(
     (Watts(budget.0.max(0.0) - remaining), granted)
 }
 
-/// The two-level feeder → PDU → rack market round. `pdu_of[i]` names
-/// the PDU that feeds the rack behind `bids[i]`; `pdu_caps[p]` is the
-/// headroom PDU `p`'s own edge can carry. Level 1 auctions the feeder
-/// budget across PDUs (each PDU bids the sum of its racks' requests,
-/// capped at its edge headroom, at their demand-weighted mean
-/// priority); level 2 re-auctions each PDU's grant across its own
-/// racks. Grants come back in bid input order with
-/// `Σ grants ≤ feeder_budget` and per-PDU sums within both the PDU's
-/// cap and its level-1 grant — the conservation invariant the
-/// datacenter engine asserts at every supervisor boundary.
-pub fn allocate_headroom_two_level(
-    bids: &[HeadroomBid],
-    pdu_of: &[usize],
-    pdu_caps: &[Watts],
-    feeder_budget: Watts,
-) -> HeadroomAllocation {
-    let mut ws = MarketWorkspace::new();
-    let outcome = allocate_headroom_two_level_with(&mut ws, bids, pdu_of, pdu_caps, feeder_budget);
-    HeadroomAllocation {
-        grants: std::mem::take(&mut ws.grants),
-        spent: outcome.spent,
-        granted: outcome.granted,
-    }
-}
-
-/// Reusable scratch for [`allocate_headroom_two_level_with`] — the
-/// market-round analogue of `control::qp::QpWorkspace`. Every Vec a
+/// Reusable scratch for [`allocate_headroom_two_level_with`]. Every Vec a
 /// two-level round needs lives here, cleared and refilled per round but
 /// never shrunk, so a long campaign's market clearing allocates only on
 /// the first round (or when the fleet grows). Reuse is semantically
@@ -285,11 +235,19 @@ pub struct MarketOutcome {
     pub granted: usize,
 }
 
-/// [`allocate_headroom_two_level`] over a reusable [`MarketWorkspace`]:
-/// identical auction semantics (same aggregation, ranking, tie-breaks,
-/// and fractional marginal grants — the Vec-returning entry point
-/// delegates here), but a warm workspace makes the round allocation-
-/// free. Grants land in `ws.grants()` in bid input order.
+/// The two-level feeder → PDU → rack market round. `pdu_of[i]` names
+/// the PDU that feeds the rack behind `bids[i]`; `pdu_caps[p]` is the
+/// headroom PDU `p`'s own edge can carry. Level 1 auctions the feeder
+/// budget across PDUs (each PDU bids the sum of its racks' requests,
+/// capped at its edge headroom, at their demand-weighted mean
+/// priority); level 2 re-auctions each PDU's grant across its own
+/// racks. `Σ grants ≤ feeder_budget`, and per-PDU sums stay within both
+/// the PDU's cap and its level-1 grant — the conservation invariant the
+/// datacenter engine asserts at every supervisor boundary.
+///
+/// The round runs over a reusable [`MarketWorkspace`]: a warm workspace
+/// makes it allocation-free. Grants land in `ws.grants()` in bid input
+/// order.
 pub fn allocate_headroom_two_level_with(
     ws: &mut MarketWorkspace,
     bids: &[HeadroomBid],
@@ -490,6 +448,25 @@ mod tests {
         }
     }
 
+    /// The single-level auction through fresh scratch.
+    fn auction(b: &[HeadroomBid], budget: f64) -> (Vec<Watts>, Watts, usize) {
+        let (mut order, mut grants) = (Vec::new(), Vec::new());
+        let (spent, granted) = allocate_headroom_core(b, Watts(budget), &mut order, &mut grants);
+        (grants, spent, granted)
+    }
+
+    /// The two-level round through a fresh workspace.
+    fn two_level(
+        b: &[HeadroomBid],
+        pdu_of: &[usize],
+        caps: &[Watts],
+        budget: f64,
+    ) -> (Vec<Watts>, MarketOutcome) {
+        let mut ws = MarketWorkspace::new();
+        let out = allocate_headroom_two_level_with(&mut ws, b, pdu_of, caps, Watts(budget));
+        (ws.grants().to_vec(), out)
+    }
+
     #[test]
     fn headroom_greedy_grants_and_fractional_marginal() {
         let b = [
@@ -497,24 +474,24 @@ mod tests {
             hbid(1, 800.0, 2.0),
             hbid(2, 800.0, 0.5),
         ];
-        let a = allocate_headroom(&b, Watts(1200.0));
-        assert_eq!(a.grants[1], Watts(800.0), "highest value wins first");
-        assert_eq!(a.grants[0], Watts(400.0), "marginal fractional grant");
-        assert_eq!(a.grants[2], Watts::ZERO);
-        assert_eq!(a.spent, Watts(1200.0));
-        assert_eq!(a.granted, 2);
+        let (grants, spent, granted) = auction(&b, 1200.0);
+        assert_eq!(grants[1], Watts(800.0), "highest value wins first");
+        assert_eq!(grants[0], Watts(400.0), "marginal fractional grant");
+        assert_eq!(grants[2], Watts::ZERO);
+        assert_eq!(spent, Watts(1200.0));
+        assert_eq!(granted, 2);
     }
 
     #[test]
     fn headroom_ties_break_by_id_and_budget_is_conserved() {
         let b: Vec<HeadroomBid> = (0..4).map(|i| hbid(i, 500.0, 1.0)).collect();
         for budget in [0.0, 250.0, 777.0, 2000.0, 1e6] {
-            let a = allocate_headroom(&b, Watts(budget));
-            let total: f64 = a.grants.iter().map(|g| g.0).sum();
+            let (grants, spent, _) = auction(&b, budget);
+            let total: f64 = grants.iter().map(|g| g.0).sum();
             assert!(total <= budget + 1e-9, "budget {budget}: spent {total}");
-            assert!((total - a.spent.0).abs() < 1e-9);
+            assert!((total - spent.0).abs() < 1e-9);
             // Lower ids fill first on equal value.
-            for w in a.grants.windows(2) {
+            for w in grants.windows(2) {
                 assert!(w[0].0 >= w[1].0);
             }
         }
@@ -523,10 +500,10 @@ mod tests {
     #[test]
     fn headroom_zero_requests_get_nothing() {
         let b = [hbid(0, 0.0, 5.0), hbid(1, 100.0, 1.0)];
-        let a = allocate_headroom(&b, Watts(1000.0));
-        assert_eq!(a.grants[0], Watts::ZERO);
-        assert_eq!(a.grants[1], Watts(100.0));
-        assert_eq!(a.granted, 1);
+        let (grants, _, granted) = auction(&b, 1000.0);
+        assert_eq!(grants[0], Watts::ZERO);
+        assert_eq!(grants[1], Watts(100.0));
+        assert_eq!(granted, 1);
     }
 
     #[test]
@@ -536,10 +513,10 @@ mod tests {
             hbid(1, 800.0, 2.0),
             hbid(2, 800.0, 0.5),
         ];
-        let flat = allocate_headroom(&b, Watts(1200.0));
-        let two = allocate_headroom_two_level(&b, &[0, 0, 0], &[Watts(1e9)], Watts(1200.0));
-        assert_eq!(flat.grants, two.grants);
-        assert_eq!(flat.spent, two.spent);
+        let (flat, flat_spent, _) = auction(&b, 1200.0);
+        let (two, out) = two_level(&b, &[0, 0, 0], &[Watts(1e9)], 1200.0);
+        assert_eq!(flat, two);
+        assert_eq!(flat_spent, out.spent);
     }
 
     #[test]
@@ -552,17 +529,12 @@ mod tests {
             hbid(1, 800.0, 1.0),
             hbid(2, 1000.0, 2.0),
         ];
-        let a = allocate_headroom_two_level(
-            &b,
-            &[0, 0, 1],
-            &[Watts(500.0), Watts(2000.0)],
-            Watts(1200.0),
-        );
-        assert_eq!(a.grants[2], Watts(1000.0));
+        let (grants, _) = two_level(&b, &[0, 0, 1], &[Watts(500.0), Watts(2000.0)], 1200.0);
+        assert_eq!(grants[2], Watts(1000.0));
         // PDU 0's 200 W goes to the lower id on the value tie.
-        assert_eq!(a.grants[0], Watts(200.0));
-        assert_eq!(a.grants[1], Watts::ZERO);
-        let total: f64 = a.grants.iter().map(|g| g.0).sum();
+        assert_eq!(grants[0], Watts(200.0));
+        assert_eq!(grants[1], Watts::ZERO);
+        let total: f64 = grants.iter().map(|g| g.0).sum();
         assert!(total <= 1200.0 + 1e-9);
     }
 
@@ -570,8 +542,7 @@ mod tests {
     fn workspace_reuse_is_deterministic() {
         // The same bid set cleared through a fresh workspace and through
         // one warmed on a differently-shaped round must produce
-        // bit-identical grants — and both must match the Vec-returning
-        // entry point.
+        // bit-identical grants.
         let b: Vec<HeadroomBid> = (0..9)
             .map(|i| hbid(i, 150.0 + 37.5 * (i as f64), 0.25 + 0.4 * (i % 4) as f64))
             .collect();
@@ -593,14 +564,11 @@ mod tests {
         let mut fresh = MarketWorkspace::new();
         let out_fresh = allocate_headroom_two_level_with(&mut fresh, &b, &pdu_of, &caps, budget);
         let out_warm = allocate_headroom_two_level_with(&mut warm, &b, &pdu_of, &caps, budget);
-        let vec_api = allocate_headroom_two_level(&b, &pdu_of, &caps, budget);
 
         assert_eq!(out_fresh, out_warm);
         assert_eq!(fresh.grants(), warm.grants());
-        assert_eq!(vec_api.grants.as_slice(), fresh.grants());
-        assert_eq!(vec_api.spent.0.to_bits(), out_fresh.spent.0.to_bits());
-        assert_eq!(vec_api.granted, out_fresh.granted);
-        for (a, b) in vec_api.grants.iter().zip(fresh.grants()) {
+        assert_eq!(out_fresh.spent.0.to_bits(), out_warm.spent.0.to_bits());
+        for (a, b) in warm.grants().iter().zip(fresh.grants()) {
             assert_eq!(a.0.to_bits(), b.0.to_bits());
         }
     }
@@ -615,12 +583,11 @@ mod tests {
         let pdu_of = [0, 0, 1, 1, 2, 2];
         let caps = [Watts(700.0), Watts(400.0), Watts(5000.0)];
         for budget in [0.0, 300.0, 900.0, 1500.0, 1e5] {
-            let a = allocate_headroom_two_level(&b, &pdu_of, &caps, Watts(budget));
-            let total: f64 = a.grants.iter().map(|g| g.0).sum();
+            let (grants, _) = two_level(&b, &pdu_of, &caps, budget);
+            let total: f64 = grants.iter().map(|g| g.0).sum();
             assert!(total <= budget + 1e-9);
             for (p, cap) in caps.iter().enumerate() {
-                let pdu_sum: f64 = a
-                    .grants
+                let pdu_sum: f64 = grants
                     .iter()
                     .zip(&pdu_of)
                     .filter(|(_, &q)| q == p)

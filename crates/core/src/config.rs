@@ -4,7 +4,7 @@ use powersim::breaker::BreakerSpec;
 use powersim::server::ServerSpec;
 use powersim::units::{Seconds, Watts};
 use powersim::ups::UpsSpec;
-use sprint_control::mpc::{MpcBackend, MpcConfig};
+use sprint_control::mpc::MpcConfig;
 
 /// Full system configuration.
 #[derive(Debug, Clone)]
@@ -44,11 +44,6 @@ pub struct SprintConConfig {
 
     // --- server power controller (§V-B) ---
     pub mpc: MpcConfig,
-    /// Which QP backend the MPC runs each period. The structured default
-    /// exploits the Eq. (8) block-separable diagonal-plus-rank-one
-    /// Hessian (O(n) per period); the dense FISTA path is the
-    /// cross-validation reference.
-    pub mpc_backend: MpcBackend,
     /// Assumed batch-core utilization when fitting the linear model.
     pub assumed_batch_util: f64,
 
@@ -138,6 +133,8 @@ pub enum ConfigError {
         trip: Seconds,
     },
     InvalidDegradedMode(&'static str),
+    /// Horizons or weights of the server power controller's MPC.
+    InvalidMpc(&'static str),
 }
 
 impl std::fmt::Display for ConfigError {
@@ -200,6 +197,7 @@ impl std::fmt::Display for ConfigError {
             ConfigError::InvalidDegradedMode(what) => {
                 write!(f, "degraded-mode config invalid: {what}")
             }
+            ConfigError::InvalidMpc(what) => write!(f, "MPC config invalid: {what}"),
         }
     }
 }
@@ -223,7 +221,6 @@ impl SprintConConfig {
             control_period: Seconds(1.0),
             allocator_period: Seconds(30.0),
             mpc: MpcConfig::paper_default(),
-            mpc_backend: MpcBackend::default(),
             assumed_batch_util: 0.95,
             inter_pressure_high: 0.9,
             inter_pressure_low: 0.4,
@@ -291,6 +288,7 @@ impl SprintConConfig {
         if self.control_period.0 <= 0.0 {
             return Err(ConfigError::NonPositiveControlPeriod(self.control_period.0));
         }
+        self.mpc.check().map_err(ConfigError::InvalidMpc)?;
         if self.allocator_period.0 < 10.0 * self.control_period.0 {
             return Err(ConfigError::AllocatorTooFast {
                 allocator_period: self.allocator_period,
@@ -419,5 +417,24 @@ mod tests {
             c.validate().unwrap_err(),
             ConfigError::InvalidDegradedMode(_)
         ));
+    }
+
+    #[test]
+    fn bad_mpc_config_is_a_typed_error() {
+        let mut c = SprintConConfig::paper_default();
+        c.mpc.lc = c.mpc.lp + 1;
+        let Err(err) = crate::SprintCon::try_new(c) else {
+            panic!("lc > lp must be rejected");
+        };
+        assert!(matches!(err, ConfigError::InvalidMpc(_)));
+        assert!(err.to_string().contains("control horizon"));
+
+        let mut c = SprintConConfig::paper_default();
+        c.mpc.r_scale = f64::NAN;
+        let Err(err) = crate::SprintCon::try_new(c) else {
+            panic!("NaN r_scale must be rejected");
+        };
+        assert!(matches!(err, ConfigError::InvalidMpc(_)));
+        assert!(err.to_string().contains("r_scale"));
     }
 }

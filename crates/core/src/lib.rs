@@ -63,14 +63,12 @@ pub mod ups_controller;
 
 pub use allocator::{AllocatorTargets, CbScheduler, PowerLoadAllocator, ScheduleKind};
 pub use bidding::{
-    allocate_headroom, allocate_headroom_two_level, allocate_headroom_two_level_with,
-    allocate_power_bids, BidAllocation, HeadroomAllocation, HeadroomBid, MarketOutcome,
-    MarketWorkspace, PowerBid,
+    allocate_headroom_two_level_with, allocate_power_bids, BidAllocation, HeadroomBid,
+    MarketOutcome, MarketWorkspace, PowerBid,
 };
 pub use chip_quota::{divide_quota, QuotaPolicy};
 pub use config::{ConfigError, SprintConConfig};
 pub use powersim::grid::ActiveGrid;
 pub use server_controller::ServerPowerController;
-pub use sprint_control::mpc::MpcBackend;
 pub use supervisor::{QueueMeasurement, SprintCon, SprintConInputs, SprintConOutputs, SprintMode};
 pub use ups_controller::UpsPowerController;

@@ -70,7 +70,7 @@ impl ServerPowerController {
             period: cfg.control_period.0,
         });
         ServerPowerController {
-            mpc: MpcController::with_backend(cfg.mpc, gains, fmin, fmax, cfg.mpc_backend),
+            mpc: MpcController::new(cfg.mpc, gains, fmin, fmax),
             inter_models,
             batch_models,
             batch_cores_per_server: m,
@@ -100,6 +100,13 @@ impl ServerPowerController {
             carry = wanted - snapped;
             *f = snapped;
         }
+    }
+
+    /// The MPC with its live gains and progress weights, read-only — for
+    /// checks that compare a period against
+    /// [`MpcController::dense_reference`].
+    pub fn mpc(&self) -> &MpcController {
+        &self.mpc
     }
 
     /// The fitted per-server batch models (the allocator shares them).
@@ -434,37 +441,37 @@ mod tests {
     }
 
     #[test]
-    fn dense_backend_tracks_like_the_structured_default() {
-        // The full controller (nonlinear plant, quantized DVFS) under
-        // each MPC backend: both loops must settle on the same target.
-        // DVFS snapping can flip individual P-state steps between the
-        // two, so the comparison is on tracking power, not per-core bits.
-        let run = |backend| {
-            let mut c = cfg();
-            c.mpc_backend = backend;
-            let mut ctrl = ServerPowerController::new(&c);
-            let mut rk = rack(&c);
-            for id in rk.cores_with_role(CoreRole::Interactive) {
-                rk.set_util(id, Utilization(0.65));
+    fn compute_matches_dense_reference_every_period() {
+        // The full controller (nonlinear plant, quantized DVFS) in closed
+        // loop: at every period the MPC's solve must match the dense
+        // oracle on the same feedback, target and frequencies.
+        let c = cfg();
+        let mut ctrl = ServerPowerController::new(&c);
+        let mut rk = rack(&c);
+        for id in rk.cores_with_role(CoreRole::Interactive) {
+            rk.set_util(id, Utilization(0.65));
+        }
+        for id in rk.cores_with_role(CoreRole::Batch) {
+            rk.set_util(id, Utilization(0.95));
+        }
+        let utils = interactive_utils(&rk);
+        let target = Watts(1700.0);
+        for period in 0..40 {
+            let p_total = rk.power();
+            let f_now = batch_freqs(&rk);
+            let p_fb = ctrl.feedback_power(p_total, &utils).0;
+            let oracle = ctrl.mpc().dense_reference(p_fb, target.0, &f_now);
+            let d = ctrl.control(p_total, &utils, target, &f_now);
+            // The oracle's certificate is the one asserted: on the rack's
+            // Hessian scale the structured unit-step KKT residual can
+            // exceed 1e-6 (its root is resolved to one ulp of u = kᵀy).
+            assert!(d.qp.converged && oracle.converged, "period {period}");
+            assert!(oracle.kkt_residual < 1e-6, "period {period}");
+            for (x, y) in d.qp.x.iter().zip(&oracle.x) {
+                assert!((x - y).abs() < 1e-6, "period {period}: {x} vs {y}");
             }
-            for id in rk.cores_with_role(CoreRole::Batch) {
-                rk.set_util(id, Utilization(0.95));
-            }
-            let utils = interactive_utils(&rk);
-            for _ in 0..40 {
-                let p_total = rk.power();
-                let d = ctrl.control(p_total, &utils, Watts(1700.0), &batch_freqs(&rk));
-                apply(&mut rk, &ctrl, &d.freqs);
-            }
-            ctrl.feedback_power(rk.power(), &utils).0
-        };
-        let structured = run(sprint_control::mpc::MpcBackend::Structured);
-        let dense = run(sprint_control::mpc::MpcBackend::DenseFista);
-        assert!(
-            (structured - dense).abs() < 5.0,
-            "structured={structured} dense={dense}"
-        );
-        assert!((structured - 1700.0).abs() < 100.0, "p_fb={structured}");
+            apply(&mut rk, &ctrl, &d.freqs);
+        }
     }
 
     #[test]

@@ -31,7 +31,6 @@ WHITELIST = {
         "mpc_hot_path.channels",
         "mpc_hot_path.periods",
         "mpc_hot_path.agreement.pass",
-        "mpc_hot_path.oracle_kernel.dim",
         "server_ticks.substrate.model_bit_identical",
         "sgct_hot_path.scenario_secs",
         *(
