@@ -27,7 +27,7 @@
 
 use crate::linalg::Mat;
 use crate::qp::{QpProblem, QpSolution};
-use crate::qp_structured::solve_blocks_into_warm;
+use crate::qp_structured::solve_blocks_into;
 
 /// Floor applied to the progress weights `Rⱼ` so a job that is far ahead
 /// still carries some peak-pull (and the per-block diagonal stays
@@ -136,7 +136,7 @@ pub struct MpcController {
 /// Scratch for the structured solve: the per-block coupling scalars
 /// plus the diagonal/linear terms and solution over the full `n·Lc`
 /// decision vector. Sized once at construction; the hot path rebuilds
-/// them in place.
+/// them in place, except `x`, which carries over.
 #[derive(Debug, Clone, Default)]
 struct StructuredBuffers {
     /// Per-block rank-one weight `c_b = 2q·(tracking steps fed)`.
@@ -145,14 +145,11 @@ struct StructuredBuffers {
     d: Vec<f64>,
     /// Linear term `g`, length `n·Lc`.
     g: Vec<f64>,
-    /// Solution vector, length `n·Lc`.
+    /// Solution vector, length `n·Lc`. The previous period's solution is
+    /// the next period's warm start: its active set (which channels sit
+    /// at `fmin`, at `fmax`, or in between) rarely changes between
+    /// periods. NaN before the first period (cold start).
     x: Vec<f64>,
-    /// Per-block coupling-scalar roots `u_b = kᵀy_b` carried across
-    /// control periods as warm-start hints (NaN = cold). The solver's
-    /// stale-bracket guard rejects a carried root whenever the bracket
-    /// has moved (gains/weights/target changed), so this only ever
-    /// speeds the root find up.
-    warm_u: Vec<f64>,
 }
 
 /// One control decision.
@@ -197,8 +194,7 @@ impl MpcController {
                 c: vec![0.0; cfg.lc],
                 d: vec![0.0; dim],
                 g: vec![0.0; dim],
-                x: vec![0.0; dim],
-                warm_u: vec![f64::NAN; cfg.lc],
+                x: vec![f64::NAN; dim],
             },
         }
     }
@@ -308,7 +304,7 @@ impl MpcController {
             }
         }
 
-        let (evals, converged, kkt_residual) = solve_blocks_into_warm(
+        let (evals, converged, kkt_residual) = solve_blocks_into(
             &sb.c,
             &self.gains,
             &sb.d,
@@ -318,7 +314,6 @@ impl MpcController {
             &mut sb.x,
             1e-7,
             200,
-            Some(&mut sb.warm_u),
         );
         let sol = QpSolution {
             x: sb.x.clone(),
@@ -672,14 +667,15 @@ mod tests {
 
     #[test]
     fn warm_started_periods_cost_fewer_evals_at_steady_state() {
-        // Repeating the same period: the carried coupling roots satisfy
-        // the tolerance immediately, so the second solve is never more
-        // expensive than the cold one and stays KKT-certified.
+        // Repeating the same period: the carried solution lies on the
+        // piece whose root is the optimum, so the second solve takes one
+        // evaluation per block and stays KKT-certified.
         let mut ctrl = controller(8);
         let d0 = ctrl.compute(60.0, 90.0, &[0.5; 8]);
         let d1 = ctrl.compute(60.0, 90.0, &[0.5; 8]);
         assert!(d0.qp.converged && d1.qp.converged);
         assert!(d1.qp.iterations <= d0.qp.iterations);
+        assert_eq!(d1.qp.iterations, ctrl.cfg.lc);
         assert!(d1.qp.kkt_residual < 1e-6);
         for (a, b) in d0.freqs.iter().zip(&d1.freqs) {
             assert!((a - b).abs() < 1e-6);

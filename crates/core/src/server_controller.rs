@@ -462,10 +462,12 @@ mod tests {
             let p_fb = ctrl.feedback_power(p_total, &utils).0;
             let oracle = ctrl.mpc().dense_reference(p_fb, target.0, &f_now);
             let d = ctrl.control(p_total, &utils, target, &f_now);
-            // The oracle's certificate is the one asserted: on the rack's
-            // Hessian scale the structured unit-step KKT residual can
-            // exceed 1e-6 (its root is resolved to one ulp of u = kᵀy).
             assert!(d.qp.converged && oracle.converged, "period {period}");
+            assert!(
+                d.qp.kkt_residual <= 1e-7,
+                "period {period}: structured KKT {}",
+                d.qp.kkt_residual
+            );
             assert!(oracle.kkt_residual < 1e-6, "period {period}");
             for (x, y) in d.qp.x.iter().zip(&oracle.x) {
                 assert!((x - y).abs() < 1e-6, "period {period}: {x} vs {y}");

@@ -30,6 +30,7 @@ WHITELIST = {
         "determinism.bit_identical",
         "mpc_hot_path.channels",
         "mpc_hot_path.periods",
+        "mpc_hot_path.evals_per_period",
         "mpc_hot_path.agreement.pass",
         "server_ticks.substrate.model_bit_identical",
         "sgct_hot_path.scenario_secs",

@@ -38,7 +38,7 @@ fn util_trace_via_new_api_reproduces_the_golden_digest() {
         .unwrap();
     let got = run_digest(&run_policy(&sc, PolicyKind::SprintCon));
     assert_eq!(
-        got, 0xdc54fcfe56a09238,
+        got, 0xac6e6fb4df7eae04,
         "UtilTrace through workload() changed the trajectory: 0x{got:016x}"
     );
 }
